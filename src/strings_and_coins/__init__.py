@@ -10,6 +10,7 @@ strategies played against an exhaustive best-response adversary.
 """
 
 from .canonical import (
+    KeyLimitError,
     are_isomorphic,
     canonical_key,
     color_refine,
@@ -64,6 +65,7 @@ __all__ = [
     "LoopyMultigraph",
     "MoveOutcome",
     "PositionError",
+    "KeyLimitError",
     "are_isomorphic",
     "canonical_key",
     "color_refine",

@@ -12,7 +12,11 @@ member in front, and the lexicographically least serialization over all
 resulting discrete labelings wins.  Automorphisms discovered along the
 way (two labelings with equal serializations) prune branches that can
 only repeat earlier work, which is what keeps highly symmetric graphs
-like complete graphs tractable.
+like complete graphs tractable: at a search node, a candidate is skipped
+when it shares an orbit with an already tried one under the automorphisms
+that fix the individualized prefix pointwise.  Each node keeps those
+orbits as a union-find that only ever merges, reading each newly found
+automorphism once, as nauty and Traces do.
 
 Component forms are combined by sorting them and relabeling into one
 vertex range, so a disjoint union's key is a pure function of the
@@ -34,6 +38,12 @@ _graph_cache: dict[tuple, bytes] = {}
 
 _MARK = 1 << 20  # multiplicity bump used to single out an edge class
 
+_U16_MAX = 0xFFFF  # widest vertex count, label or multiplicity a key can hold
+
+
+class KeyLimitError(ValueError):
+    """Position too large for the u16 fields of the canonical key layout."""
+
 
 def clear_caches() -> None:
     _comp_cache.clear()
@@ -47,14 +57,20 @@ def _refine(n: int, adj: list[dict[int, int]], colors: list[int]) -> list[int]:
     """Iterate multiplicity-aware neighborhood hashing to a fixpoint.
 
     Colors are dense ranks whose order is determined by sorted signatures,
-    so the resulting partition is canonical given the input coloring.
+    so the resulting partition is canonical given the input coloring (which
+    must itself be dense ranks 0..k-1).  A vertex alone in its cell gets the
+    signature (color, ()) without building its neighbor row: its color
+    already ranks it uniquely, so the ranks are the same either way.
     """
     ncells = len(set(colors))
     while True:
-        sigs = []
-        for i in range(n):
-            row = sorted((colors[j], m) for j, m in adj[i].items())
-            sigs.append((colors[i], tuple(row)))
+        size = [0] * ncells
+        for c in colors:
+            size[c] += 1
+        sigs = [
+            (c, ()) if size[c] == 1 else (c, tuple(sorted([(colors[j], m) for j, m in adj[i].items()])))
+            for i, c in enumerate(colors)
+        ]
         order = sorted(set(sigs))
         if len(order) == ncells:
             return colors
@@ -135,87 +151,81 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
     colors = _refine(n, adj, [rank[s] for s in init])
 
     best_serial: list = [None]
-    best_label: list = [None]
     inv_best: list = [None]
-    autos: list[tuple[int, ...]] = []
+    # automorphisms found so far, each as (bitmask of the vertices it moves,
+    # its moved (vertex, image) pairs)
+    autos: list[tuple[int, list[tuple[int, int]]]] = []
 
     def individualize(cols: list[int], v: int) -> list[int]:
-        sigs = [(c, 1) for c in cols]
-        sigs[v] = (cols[v], 0)
-        order = sorted(set(sigs))
-        rank = {s: r for r, s in enumerate(order)}
-        return _refine(n, adj, [rank[s] for s in sigs])
+        # v's cell has other members, so v keeps its color and every color
+        # from v's cell up shifts by one: the dense ranks of (color, v-or-not)
+        cv = cols[v]
+        new = [c if c < cv else c + 1 for c in cols]
+        new[v] = cv
+        return _refine(n, adj, new)
 
     def at_leaf(cols: list[int]) -> None:
         serial = _serialize(n, adj, loops, cols)
         bs = best_serial[0]
         if bs is None or serial < bs:
             best_serial[0] = serial
-            best_label[0] = cols[:]
             inv = [0] * n
             for i, c in enumerate(cols):
                 inv[c] = i
             inv_best[0] = inv
-        elif serial == bs:
+        elif serial == bs and len(autos) < 64:
             inv = inv_best[0]
-            perm = tuple(inv[c] for c in cols)  # maps this labeling onto best
-            if any(perm[i] != i for i in range(n)) and len(autos) < 64:
-                autos.append(perm)
+            # maps this labeling onto best
+            pairs = [(i, inv[c]) for i, c in enumerate(cols) if inv[c] != i]
+            if pairs:
+                autos.append((sum(1 << i for i, _ in pairs), pairs))
 
-    def same_orbit_fixing(prefix: tuple[int, ...], v: int, tried: list[int]) -> bool:
-        if not autos or not tried:
-            return False
-        parent = list(range(n))
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        used = False
-        for perm in autos:
-            ok = True
-            for p in prefix:
-                if perm[p] != p:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used = True
-            for i in range(n):
-                ra, rb = find(i), find(perm[i])
-                if ra != rb:
-                    parent[ra] = rb
-        if not used:
-            return False
-        rv = find(v)
-        return any(find(w) == rv for w in tried)
-
-    def rec(cols: list[int], prefix: tuple[int, ...]) -> None:
-        cells: dict[int, list[int]] = {}
-        for i, c in enumerate(cols):
-            cells.setdefault(c, []).append(i)
-        if len(cells) == n:
+    def rec(cols: list[int], prefix: int) -> None:
+        """Search below the node whose individualized vertices form the
+        bitmask ``prefix``; ``cols`` is its equitable coloring."""
+        ncells = max(cols) + 1
+        if ncells == n:
             at_leaf(cols)
             return
+        size = [0] * ncells
+        for c in cols:
+            size[c] += 1
         # first largest non-singleton cell: max size, ties to lowest color
-        target_color = -1
-        target_size = 1
-        for c in sorted(cells):
-            sz = len(cells[c])
-            if sz > target_size:
-                target_size = sz
-                target_color = c
-        members = cells[target_color]
+        target = max(range(ncells), key=size.__getitem__)
+        members = [i for i, c in enumerate(cols) if c == target]
+        # Orbits of the automorphisms found so far that fix ``prefix``
+        # pointwise, as a union-find that only ever merges: ``parent`` is
+        # made on first use and ``seen`` counts the entries of ``autos``
+        # already merged in, so each automorphism is read once per node.
+        parent: list[int] | None = None
+        seen = 0
         tried: list[int] = []
         for v in members:
-            if same_orbit_fixing(prefix, v, tried):
-                continue
+            if seen < len(autos):
+                for moves, pairs in autos[seen:]:
+                    if moves & prefix:
+                        continue
+                    if parent is None:
+                        parent = list(range(n))
+                    for a, b in pairs:
+                        ra, rb = find(parent, a), find(parent, b)
+                        if ra != rb:
+                            parent[ra] = rb
+                seen = len(autos)
+            if parent is not None:
+                rv = find(parent, v)
+                if any(find(parent, w) == rv for w in tried):
+                    continue
             tried.append(v)
-            rec(individualize(cols, v), prefix + (v,))
+            rec(individualize(cols, v), prefix | 1 << v)
 
-    rec(colors, ())
+    rec(colors, 0)
     return best_serial[0]
 
 
@@ -252,9 +262,19 @@ def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
     return out
 
 
+def _check_key_limits(vertices: int, multiplicity: int) -> None:
+    if vertices > _U16_MAX:
+        raise KeyLimitError(f"position has {vertices} vertices; canonical keys hold at most {_U16_MAX}")
+    if multiplicity > _U16_MAX:
+        raise KeyLimitError(
+            f"a string has multiplicity {multiplicity}; canonical keys hold at most {_U16_MAX}"
+        )
+
+
 def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     forms = sorted(forms)
     total = sum(n for n, _ in forms)
+    _check_key_limits(total, 0)
     parts = [struct.pack("<H", total)]
     offset = 0
     merged = []
@@ -273,13 +293,15 @@ def canonical_key(g: LoopyMultigraph) -> bytes:
 
     Layout: little-endian u16 vertex count, then sorted (u16 u, u16 v,
     u16 multiplicity) triples over canonical labels; loops appear as
-    (v, v, multiplicity).
+    (v, v, multiplicity).  Raises ``KeyLimitError`` when the vertex count
+    or a multiplicity does not fit in a u16 field.
     """
     if g._canon is not None:
         return g._canon
     sig = g.signature()
     key = _graph_cache.get(sig)
     if key is None:
+        _check_key_limits(g.vertex_count, max(g._mult.values(), default=0))
         forms = [_component_canon(n, t) for n, t in _component_local_triples(g)]
         key = _combine_forms(forms)
         if len(_graph_cache) >= _GRAPH_CACHE_CAP:

@@ -91,14 +91,6 @@ class TranspositionTable:
             del self._store[oldest]
         self._store[key] = (flag, value)
 
-    def insert_or_get(self, key: bytes, flag: int, value: int) -> tuple[int, int]:
-        """Atomic publish: keep and return the existing entry if present."""
-        cur = self.get(key)
-        if cur is not None:
-            return cur
-        self.put(key, flag, value)
-        return (flag, value)
-
     def fresh_exact_items(self) -> list[tuple[bytes, int]]:
         return [(k, v) for k, (f, v) in self._store.items() if f == EXACT]
 

@@ -1,10 +1,14 @@
 """Canonical keys: refinement, soundness against a brute oracle, stability."""
 
+import hashlib
 import random
 import struct
 
+import pytest
+
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins.canonical import (
+    KeyLimitError,
     are_isomorphic,
     canonical_key,
     color_refine,
@@ -112,6 +116,13 @@ def test_permutation_stability_fuzz():
         make("complete_bipartite", 2, 3),
         make("hypercube", 3),
         LoopyMultigraph.from_edges([(0, 1), (0, 1), (1, 1), (1, 2), (3, 4)]),
+        # symmetric block trees, where orbit pruning does the most work
+        make("friendship", 6),
+        make("pinwheel", 5),
+        make("loopy_star", 9),
+        make("generalized_loopy_star", 4, 2),
+        make("wheel", 7),
+        make("complete", 6),
     ]
     extra = [support.random_graph(rng, max_vertices=8, max_edges=10) for _ in range(13)]
     total = 0
@@ -121,6 +132,52 @@ def test_permutation_stability_fuzz():
             assert canonical_key(support.relabel(base, rng)) == ref
             total += 1
     assert total >= 1000
+
+
+# Every family at small sizes plus seeded random positions.  The digest
+# pins the key bytes: a change to it orphans every existing SNC1 cache.
+_GOLDEN_FAMILIES = [
+    ("complete", 3), ("complete", 5), ("complete", 6),
+    ("complete_bipartite", 2, 3), ("complete_bipartite", 3, 3), ("complete_bipartite", 1, 5),
+    ("cycle", 1), ("cycle", 2), ("cycle", 6),
+    ("path", 2), ("path", 5), ("path", 9),
+    ("tree", 0, 1, 1, 2, 1, 3, 3, 4, 3, 5), ("tree", 0, 1, 0, 2, 0, 3, 3, 4),
+    ("friendship", 2), ("friendship", 4), ("friendship", 6),
+    ("pinwheel", 2), ("pinwheel", 3), ("pinwheel", 5),
+    ("loopy_star", 2), ("loopy_star", 5), ("loopy_star", 9),
+    ("generalized_loopy_star", 2, 2), ("generalized_loopy_star", 3, 1), ("generalized_loopy_star", 4, 2),
+    ("loopy_starlike", 2, 1, 2), ("loopy_starlike", 3, 2, 3),
+    ("loopy_cycle", 4, 2), ("loopy_cycle", 5, 5), ("loopy_cycle", 6, 3),
+    ("wheel", 3), ("wheel", 5), ("wheel", 7),
+    ("ferris_wheel", 2), ("ferris_wheel", 4), ("ferris_wheel", 6),
+    ("balloon_path", 2), ("balloon_path", 4), ("balloon_path", 7),
+    ("hypercube", 1), ("hypercube", 2), ("hypercube", 3),
+    ("prism", 3), ("prism", 4), ("prism", 6),
+    ("petersen",),
+    ("custom", 0, 1, 0, 1, 1, 1, 2, 3),
+]
+_GOLDEN_DIGEST = "b04f71a84daefef41399156edcd567461704b49dbaf9b2f5142a864eab6bf1df"
+
+
+def test_golden_key_digest():
+    gs = [make(name, *params) for name, *params in _GOLDEN_FAMILIES]
+    rng = random.Random(20261017)
+    gs.extend(support.random_graph(rng, max_vertices=9, max_edges=14) for _ in range(200))
+    h = hashlib.sha256()
+    for g in gs:
+        key = canonical_key(g)
+        h.update(len(key).to_bytes(4, "little") + key)
+    assert h.hexdigest() == _GOLDEN_DIGEST
+
+
+def test_key_limits_raise_typed_error():
+    with pytest.raises(KeyLimitError, match="65536"):
+        canonical_key(LoopyMultigraph.from_edges([(0, 1)] * 65536))
+    with pytest.raises(KeyLimitError, match="65536"):
+        canonical_key(LoopyMultigraph.from_edges([(v, v) for v in range(65536)]))
+    # the widest multiplicity that fits still keys
+    n, triples = unpack_key(canonical_key(LoopyMultigraph.from_edges([(0, 0)] * 65535)))
+    assert (n, triples) == (1, [(0, 0, 65535)])
 
 
 def test_union_key_matches_combined_component_keys():

@@ -62,6 +62,18 @@ def test_solve_edges_file(tmp_path):
     assert row["family"] == "custom"
 
 
+def test_solve_edges_beyond_key_format_exits_2(tmp_path):
+    # 65536 parallel strings: the multiplicity no longer fits a u16 key field
+    pos = tmp_path / "pos.txt"
+    pos.write_text("0 1\n" * 65536)
+    code, out, err = invoke("solve", "--edges", str(pos), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "65535" in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_edges_file():
     code, _, err = invoke("solve", "--edges", "/nonexistent/pos.txt")
     assert code == 2
