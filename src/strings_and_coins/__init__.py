@@ -33,6 +33,7 @@ from .io_cache import (
     write_edge_list,
 )
 from .solver import (
+    DepthLimitError,
     EmptyPositionError,
     GameValue,
     SearchStats,
@@ -83,6 +84,7 @@ __all__ = [
     "SolveOptions",
     "SolveBudgetExceeded",
     "EmptyPositionError",
+    "DepthLimitError",
     "ValueConsistencyError",
     "TableRow",
     "TranspositionTable",

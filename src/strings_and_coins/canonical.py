@@ -27,6 +27,7 @@ graph) make repeated positions cheap during search.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from .graph import EdgeRef, LoopyMultigraph
 
@@ -271,6 +272,11 @@ def _check_key_limits(vertices: int, multiplicity: int) -> None:
         )
 
 
+def check_key_limits(g: LoopyMultigraph) -> None:
+    """Raise ``KeyLimitError`` when ``g`` does not fit the key layout."""
+    _check_key_limits(g.vertex_count, max(g._mult.values(), default=0))
+
+
 def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     forms = sorted(forms)
     total = sum(n for n, _ in forms)
@@ -301,7 +307,7 @@ def canonical_key(g: LoopyMultigraph) -> bytes:
     sig = g.signature()
     key = _graph_cache.get(sig)
     if key is None:
-        _check_key_limits(g.vertex_count, max(g._mult.values(), default=0))
+        check_key_limits(g)
         forms = [_component_canon(n, t) for n, t in _component_local_triples(g)]
         key = _combine_forms(forms)
         if len(_graph_cache) >= _GRAPH_CACHE_CAP:
@@ -311,15 +317,19 @@ def canonical_key(g: LoopyMultigraph) -> bytes:
     return key
 
 
+@lru_cache(maxsize=256)
+def key_fields(length: int) -> struct.Struct:
+    """Decoder of every u16 field of a ``length``-byte key: the vertex
+    count, then (u, v, multiplicity) per triple.  ``length % 6 == 2``."""
+    return struct.Struct(f"<{length // 2}H")
+
+
 def unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
     """Inverse of the key layout: (vertex count, sorted edge triples)."""
-    if len(key) < 2 or (len(key) - 2) % 6 != 0:
+    if len(key) % 6 != 2:
         raise ValueError("malformed canonical key")
-    (n,) = struct.unpack_from("<H", key, 0)
-    triples = []
-    for off in range(2, len(key), 6):
-        triples.append(struct.unpack_from("<HHH", key, off))
-    return n, triples
+    f = key_fields(len(key)).unpack(key)
+    return f[0], list(zip(f[1::3], f[2::3], f[3::3]))
 
 
 def combine_component_keys(keys: list[bytes]) -> bytes:

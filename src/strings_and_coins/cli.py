@@ -2,9 +2,9 @@
 
 Results go to standard output (JSON object per row, or TSV with a fixed
 header); diagnostics go to standard error.  Exit codes: 0 success,
-1 failed verification, 2 usage error or a position too large to key,
-3 time-budget abort.  The value cache defaults to the path in
-``SNC_CACHE`` when set.
+1 failed verification, 2 usage error or a position too large to key or
+too deep to search, 3 time-budget abort.  The value cache defaults to
+the path in ``SNC_CACHE`` when set.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .claims import UnknownClaimError, claim_ids, verify_all, verify_claim
 from .families import ParameterError, family_names, generate, parse_family
 from .graph import LoopyMultigraph
 from .solver import (
+    DepthLimitError,
     GameValue,
     SolveBudgetExceeded,
     SolveOptions,
@@ -298,7 +299,13 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         if "available:" not in str(exc):
             print(f"families: {', '.join(family_names())}", file=err)
         return 2
-    except (OSError, io_cache.EdgeListFormatError, io_cache.CacheFormatError, KeyLimitError) as exc:
+    except (
+        OSError,
+        io_cache.EdgeListFormatError,
+        io_cache.CacheFormatError,
+        KeyLimitError,
+        DepthLimitError,
+    ) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -3,21 +3,41 @@
 Edge lists are whitespace-separated vertex pairs, one edge instance per
 line, with ``#`` comments.  The value cache is a little-endian binary
 file: magic ``SNC1`` then records of (u32 key length, canonical key
-bytes, i16 differential).  Appending records is always safe; a truncated
-or corrupt tail is dropped on load with a count of skipped records, so a
-crash mid-write never poisons earlier results.
+bytes, i16 differential).
+
+Loading screens every record in one pass: the key must have the
+canonical layout (a u16 vertex count n, then u16 (a, b, multiplicity)
+triples with a <= b < n, none when n == 0) and the value must satisfy
+|value| <= n with the parity of n, as every differential does.  A record
+that fails is skipped and counted; a length field that runs past the end
+of the file, or a tail too short to hold one, ends the load with one
+more skip, so a crash mid-write never poisons earlier results.
+
+An append encodes its whole batch first and writes it with a single
+``write`` under an exclusive ``flock``; a load reads under a shared one.
+Concurrent ``snc`` runs may therefore share one cache file: no record is
+split by another writer's, and no load sees half an append.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
 
-from .canonical import unpack_key
+try:
+    import fcntl
+except ImportError:  # no advisory locks on this platform: appends go unlocked
+    fcntl = None
+
+from .canonical import key_fields
 from .graph import LoopyMultigraph
 
 MAGIC = b"SNC1"
+
+_U32 = struct.Struct("<I")
+_I16 = struct.Struct("<h")
 
 
 class EdgeListFormatError(ValueError):
@@ -63,93 +83,97 @@ def write_edge_list(g: LoopyMultigraph, path: str) -> None:
 
 @dataclass
 class CacheLoad:
-    """Entries read from a cache file plus a count of records dropped."""
+    """Entries read from a cache file, a count of records dropped, and
+    the number of records whose length field was read whole."""
 
     entries: dict[bytes, int]
     skipped: int
-
-
-def _plausible_record(key: bytes, value: int) -> bool:
-    """Sanity screen for one record: well-formed key, value within range
-    and of the right parity (a differential and its vertex count always
-    share parity)."""
-    try:
-        n, triples = unpack_key(key)
-    except ValueError:
-        return False
-    if abs(value) > n or (value - n) % 2 != 0:
-        return False
-    return all(a <= b < n for a, b, _ in triples) if n else not triples
+    records: int = 0
 
 
 def load_cache(path: str) -> CacheLoad:
     """Read a value cache; tolerate and count a corrupt or truncated tail."""
     with open(path, "rb") as fh:
+        if fcntl is not None:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
         blob = fh.read()
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
         raise CacheFormatError(f"{path}: not a value-cache file")
     entries: dict[bytes, int] = {}
-    skipped = 0
+    skipped = records = 0
     off = len(MAGIC)
     end = len(blob)
+    u32, i16, le = _U32.unpack_from, _I16.unpack_from, operator.le
     while off < end:
         if off + 4 > end:
             skipped += 1
             break
-        (klen,) = struct.unpack_from("<I", blob, off)
+        records += 1
+        (klen,) = u32(blob, off)
         off += 4
-        if klen == 0 or off + klen + 2 > end:
+        stop = off + klen
+        if klen == 0 or stop + 2 > end:
             skipped += 1
             break
-        key = blob[off : off + klen]
-        off += klen
-        (value,) = struct.unpack_from("<h", blob, off)
-        off += 2
-        if _plausible_record(key, value):
-            entries[key] = value
+        (value,) = i16(blob, stop)
+        # the screen of the module docstring; a key of 2 bytes has no triples
+        if klen % 6 == 2:
+            f = key_fields(klen).unpack_from(blob, off)
+            n = f[0]
+            if (
+                -n <= value <= n
+                and (value - n) % 2 == 0
+                and (klen == 2 or (max(b := f[2::3]) < n and all(map(le, f[1::3], b))))
+            ):
+                entries[blob[off:stop]] = value
+            else:
+                skipped += 1
         else:
             skipped += 1
-    return CacheLoad(entries, skipped)
+        off = stop + 2
+    return CacheLoad(entries, skipped, records)
 
 
 def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], append: bool = False) -> int:
     """Write records; with ``append`` add to an existing file.  Returns
-    the number of records written."""
+    the number of records written.
+
+    The records go out as one buffer in one ``write``; an append holds an
+    exclusive ``flock`` on the file meanwhile, so concurrent appenders
+    never split each other's records.
+    """
     items = entries.items() if isinstance(entries, dict) else entries
-    fresh = not (append and os.path.exists(path))
-    mode = "ab" if not fresh else "wb"
+    buf = bytearray()
     count = 0
-    with open(path, mode) as fh:
-        if fresh:
-            fh.write(MAGIC)
-        for key, value in items:
-            fh.write(struct.pack("<I", len(key)))
-            fh.write(key)
-            fh.write(struct.pack("<h", value))
-            count += 1
+    for key, value in items:
+        buf += _U32.pack(len(key))
+        buf += key
+        buf += _I16.pack(value)
+        count += 1
+    if not append:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + buf)
+        return count
+    with open(path, "ab") as fh:
+        if fcntl is not None:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        # under the lock, an empty file is new: it gets the magic first
+        if fh.seek(0, os.SEEK_END) == 0:
+            buf[:0] = MAGIC
+        fh.write(buf)
+        fh.flush()
     return count
 
 
 def compact_cache(path: str) -> tuple[int, int]:
     """Rewrite a cache dropping duplicate keys and corrupt records.
 
-    Returns (records before, records after).  The rewrite goes through a
-    temp file and an atomic rename.
+    Returns (records before, records after): a 1-3 byte fragment too
+    short to hold a length field is not a record.  The rewrite goes
+    through a temp file and an atomic rename.
     """
     loaded = load_cache(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    before = 0
-    off = len(MAGIC)
-    while off + 4 <= len(blob):
-        (klen,) = struct.unpack_from("<I", blob, off)
-        step = 4 + klen + 2
-        if klen == 0 or off + step > len(blob):
-            before += 1
-            break
-        before += 1
-        off += step
     tmp = path + ".tmp"
     save_cache(tmp, dict(sorted(loaded.entries.items())))
     os.replace(tmp, path)
-    return before, len(loaded.entries)
+    return loaded.records, len(loaded.entries)

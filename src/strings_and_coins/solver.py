@@ -17,10 +17,16 @@ Search options layer on top of that definition without changing it:
 * ``orbit_dedup`` -- expand one move per automorphism orbit.
 
 Any combination yields the same value; only the work differs.
+
+The search recurses once per cut string, so ``solve`` and ``best_move``
+refuse, with ``DepthLimitError``, a position whose strings would not fit
+under ``sys.getrecursionlimit()`` together with canonical keying's own
+recursion.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +57,27 @@ class ValueConsistencyError(ValueError):
     """A differential that cannot correspond to any final score split."""
 
 
+class DepthLimitError(ValueError):
+    """Raised before searching a position too deep for the recursive search."""
+
+
+# frames for the callers above ``solve`` and the keying calls at a leaf
+_STACK_MARGIN = 150
+
+
+def _check_searchable(g: LoopyMultigraph) -> None:
+    canonical.check_key_limits(g)
+    # One search frame per cut string; keying a position below that
+    # recurses once per individualised vertex, at most its vertex count.
+    need = g.edge_count + g.vertex_count + _STACK_MARGIN
+    limit = sys.getrecursionlimit()
+    if need > limit:
+        raise DepthLimitError(
+            f"position has {g.edge_count} strings on {g.vertex_count} coins; "
+            f"searching it needs a recursion limit of about {need}, the limit is {limit}"
+        )
+
+
 class TranspositionTable:
     """Canonical key -> (flag, value) store with optional LRU eviction.
 
@@ -68,7 +95,10 @@ class TranspositionTable:
         return len(self._store) + len(self._seed)
 
     def seed(self, entries: dict[bytes, int]) -> None:
-        self._seed.update(entries)
+        """Pin exact values.  The first seeding keeps ``entries`` itself
+        rather than a copy, so the caller must not change it afterwards;
+        later seedings merge into a new dict and leave it untouched."""
+        self._seed = {**self._seed, **entries} if self._seed else entries
 
     def get(self, key: bytes) -> tuple[int, int] | None:
         v = self._seed.get(key)
@@ -243,7 +273,13 @@ class _Searcher:
 
 
 def solve(g: LoopyMultigraph, opts: SolveOptions | None = None) -> GameValue:
-    """Solve a position exactly; the player to move is player 1."""
+    """Solve a position exactly; the player to move is player 1.
+
+    Raises ``KeyLimitError`` for a position too large to key and
+    ``DepthLimitError`` for one too deep to search under the current
+    recursion limit.
+    """
+    _check_searchable(g)
     opts = opts or SolveOptions()
     searcher = _Searcher(opts)
     searcher.start_clock()
@@ -263,6 +299,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")
+    _check_searchable(g)
     opts = opts or SolveOptions()
     searcher = _Searcher(opts)
     searcher.start_clock()

@@ -74,6 +74,23 @@ def test_solve_edges_beyond_key_format_exits_2(tmp_path):
     assert "Traceback" not in err
 
 
+def test_solve_edges_too_deep_exits_2(tmp_path):
+    # 1500 parallel strings: one search frame per cut exceeds the recursion limit
+    pos = tmp_path / "pos.txt"
+    pos.write_text("0 1\n" * 1500)
+    code, out, err = invoke("solve", "--edges", str(pos), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the same shape at a depth that fits still solves: the last cut takes both coins
+    pos.write_text("0 1\n" * 500)
+    code, out, _ = invoke("solve", "--edges", str(pos), "--json")
+    assert code == 0
+    (row,) = json_rows(out)
+    assert (row["p1"], row["p2"]) == (0, 2)
+
+
 def test_solve_missing_edges_file():
     code, _, err = invoke("solve", "--edges", "/nonexistent/pos.txt")
     assert code == 2

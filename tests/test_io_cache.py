@@ -1,9 +1,14 @@
 """Edge-list files and the persistent value cache."""
 
+import os
 import struct
+import subprocess
+import sys
+import time
 
 import pytest
 
+import strings_and_coins
 from strings_and_coins.canonical import canonical_key
 from strings_and_coins.families import make
 from strings_and_coins.io_cache import (
@@ -72,6 +77,51 @@ def test_cache_append_and_compact(tmp_path):
     assert load_cache(path).entries == {k1: -3, k2: -4}
     # compaction is idempotent
     assert compact_cache(path) == (2, 2)
+
+
+@pytest.mark.parametrize("fragment", [1, 2, 3, 5])
+def test_compact_counts_records_like_the_loader(tmp_path, fragment):
+    # a tail of 1-3 bytes cannot hold a length field: the load skips it,
+    # but it is no record; a longer one is a record with a truncated body
+    path = str(tmp_path / "values.snc")
+    k1 = canonical_key(make("cycle", 3))
+    k2 = canonical_key(make("cycle", 4))
+    save_cache(path, [(k1, -3), (k2, -4)])
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<I", len(k1))[:fragment] + k1[: max(0, fragment - 4)])
+    loaded = load_cache(path)
+    assert (loaded.skipped, loaded.records) == (1, 2 if fragment < 4 else 3)
+    assert compact_cache(path) == (loaded.records, 2)
+    assert load_cache(path).entries == {k1: -3, k2: -4}
+
+
+_APPENDER = """
+import os, struct, sys, time
+from strings_and_coins.io_cache import save_cache
+path, go, worker = sys.argv[1], sys.argv[2], int(sys.argv[3])
+# plausible records with keys no other worker writes: n coins, one string 0-1
+batch = [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in range(2 + 1000 * worker, 1002 + 1000 * worker)]
+while not os.path.exists(go):
+    time.sleep(0.001)
+save_cache(path, batch, append=True)
+"""
+
+
+def test_concurrent_appends_keep_every_record(tmp_path):
+    path = str(tmp_path / "values.snc")
+    go = str(tmp_path / "go")
+    save_cache(path, {})
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(strings_and_coins.__file__))}
+    workers = [
+        subprocess.Popen([sys.executable, "-c", _APPENDER, path, go, str(w)], env=env) for w in range(4)
+    ]
+    time.sleep(0.5)  # let every worker reach the start line
+    open(go, "w").close()
+    for p in workers:
+        assert p.wait(timeout=60) == 0
+    loaded = load_cache(path)
+    assert loaded.skipped == 0
+    assert len(loaded.entries) == 4000  # each batch is 14,000 bytes
 
 
 def test_cache_corrupt_tail_is_skipped(tmp_path):

@@ -1,0 +1,217 @@
+"""Differential test of the value-cache loader against the record-by-record
+loader it replaced.
+
+The reference functions below are kept verbatim from that loader:
+``unpack_key`` (one ``struct.unpack_from`` per triple), the per-record
+screen ``_plausible_record``, ``load_cache`` and the framing walk with
+which ``compact_cache`` counted records.  The loader must keep and skip
+exactly what they keep and skip, on real keys and on damaged files.
+"""
+
+import random
+import struct
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strings_and_coins.canonical import canonical_key, unpack_key
+from strings_and_coins.families import make
+from strings_and_coins.graph import LoopyMultigraph
+from strings_and_coins.io_cache import CacheFormatError, load_cache
+
+import support
+
+MAGIC = b"SNC1"
+
+
+# -- reference: the previous loader, verbatim ----------------------------------
+
+
+def ref_unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
+    """Inverse of the key layout: (vertex count, sorted edge triples)."""
+    if len(key) < 2 or (len(key) - 2) % 6 != 0:
+        raise ValueError("malformed canonical key")
+    (n,) = struct.unpack_from("<H", key, 0)
+    triples = []
+    for off in range(2, len(key), 6):
+        triples.append(struct.unpack_from("<HHH", key, off))
+    return n, triples
+
+
+@dataclass
+class RefCacheLoad:
+    """Entries read from a cache file plus a count of records dropped."""
+
+    entries: dict[bytes, int]
+    skipped: int
+
+
+def _plausible_record(key: bytes, value: int) -> bool:
+    """Sanity screen for one record: well-formed key, value within range
+    and of the right parity (a differential and its vertex count always
+    share parity)."""
+    try:
+        n, triples = ref_unpack_key(key)
+    except ValueError:
+        return False
+    if abs(value) > n or (value - n) % 2 != 0:
+        return False
+    return all(a <= b < n for a, b, _ in triples) if n else not triples
+
+
+def ref_load_cache(path: str) -> RefCacheLoad:
+    """Read a value cache; tolerate and count a corrupt or truncated tail."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
+        raise CacheFormatError(f"{path}: not a value-cache file")
+    entries: dict[bytes, int] = {}
+    skipped = 0
+    off = len(MAGIC)
+    end = len(blob)
+    while off < end:
+        if off + 4 > end:
+            skipped += 1
+            break
+        (klen,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        if klen == 0 or off + klen + 2 > end:
+            skipped += 1
+            break
+        key = blob[off : off + klen]
+        off += klen
+        (value,) = struct.unpack_from("<h", blob, off)
+        off += 2
+        if _plausible_record(key, value):
+            entries[key] = value
+        else:
+            skipped += 1
+    return RefCacheLoad(entries, skipped)
+
+
+def ref_record_count(blob: bytes) -> int:
+    """The record count ``compact_cache`` reported as "before"."""
+    before = 0
+    off = len(MAGIC)
+    while off + 4 <= len(blob):
+        (klen,) = struct.unpack_from("<I", blob, off)
+        step = 4 + klen + 2
+        if klen == 0 or off + step > len(blob):
+            before += 1
+            break
+        before += 1
+        off += step
+    return before
+
+
+# -- generated cache files -----------------------------------------------------
+
+
+def _key_pool() -> list[bytes]:
+    graphs = [LoopyMultigraph.empty(), make("path", 2), make("cycle", 3), make("cycle", 5)]
+    graphs += [make("wheel", 4), make("loopy_cycle", 4, 2), make("friendship", 2)]
+    rng = random.Random(2024)
+    graphs += [support.random_graph(rng, max_edges=10, loop_chance=0.3) for _ in range(40)]
+    return sorted({canonical_key(g) for g in graphs})
+
+
+KEYS = _key_pool()
+
+
+def _record(klen: int, body: bytes, value: int) -> bytes:
+    return struct.pack("<I", klen) + body + struct.pack("<h", value)
+
+
+def real_record(rng: random.Random) -> bytes:
+    key = rng.choice(KEYS)
+    (n,) = struct.unpack_from("<H", key)
+    return _record(len(key), key, rng.randint(-n - 3, n + 3))
+
+
+def empty_graph_key_with_triples(rng: random.Random) -> bytes:
+    triples = [[rng.randint(0, 3) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+    key = b"\x00\x00" + b"".join(struct.pack("<HHH", *t) for t in triples)
+    return _record(len(key), key, rng.choice([0, 0, 1, -2]))
+
+
+def odd_length(rng: random.Random) -> bytes:
+    # a length field of 0, 2, odd, huge or random size over a body of any size
+    klen = rng.choice([0, 1, 2, 3, 7, 8, 14, 15, 0xFFFFFFFF, 1 << 31, rng.randint(0, 80)])
+    body = rng.randbytes(rng.randint(0, 40))
+    return _record(klen, body, rng.randint(-(1 << 15), (1 << 15) - 1))
+
+
+def random_key(rng: random.Random) -> bytes:
+    # the canonical layout filled with arbitrary fields, small or full-width
+    top = rng.choice([9, 0xFFFF])
+    fields = [rng.randint(0, top) for _ in range(1 + 3 * rng.randint(0, 4))]
+    key = struct.pack(f"<{len(fields)}H", *fields)
+    return _record(len(key), key, rng.randint(-12, 12))
+
+
+RECORD_KINDS = [real_record, real_record, empty_graph_key_with_triples, odd_length, random_key]
+
+
+@st.composite
+def cache_files(draw):
+    # Hypothesis picks the shape of the damage; a seeded generator fills
+    # the fields, which keeps each case to a handful of draws.
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    recs = [rng.choice(RECORD_KINDS)(rng) for _ in range(draw(st.integers(0, 8)))]
+    blob = bytearray(MAGIC + b"".join(recs))
+    flips = draw(st.sampled_from(["none", "anywhere", "last record"]))
+    if flips == "anywhere":
+        for _ in range(rng.randint(1, 2)):
+            blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+    elif flips == "last record" and recs:
+        # inside its length, key or value field
+        blob[len(blob) - rng.randint(1, len(recs[-1]))] ^= 1 << rng.randrange(8)
+    cut = draw(st.sampled_from(["none", "anywhere", "last record", "magic"]))
+    if cut == "anywhere":
+        del blob[rng.randint(0, len(blob)) :]
+    elif cut == "last record" and recs:
+        del blob[len(blob) - rng.randint(1, len(recs[-1])) :]
+    elif cut == "magic":
+        del blob[rng.randint(0, len(MAGIC)) :]
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def cache_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("loader") / "values.snc")
+
+
+@settings(
+    max_examples=1200,
+    deadline=None,
+    database=None,
+    derandomize=True,
+)
+@given(blob=cache_files())
+def test_loader_matches_reference(cache_path, blob):
+    with open(cache_path, "wb") as fh:
+        fh.write(blob)
+    try:
+        ref = ref_load_cache(cache_path)
+    except CacheFormatError:
+        with pytest.raises(CacheFormatError):
+            load_cache(cache_path)
+        return
+    got = load_cache(cache_path)
+    assert got.entries == ref.entries
+    assert got.skipped == ref.skipped
+    assert got.records == ref_record_count(blob)
+    for key in got.entries:
+        assert unpack_key(key) == ref_unpack_key(key)
+
+
+def test_unpack_key_matches_reference_on_malformed_keys():
+    for key in [b"", b"\x01", b"\x01\x00\x00", b"\x02\x00" + b"\x00" * 5, b"\x02\x00" + b"\x00" * 7]:
+        with pytest.raises(ValueError):
+            ref_unpack_key(key)
+        with pytest.raises(ValueError):
+            unpack_key(key)
+    for key in KEYS:
+        assert unpack_key(key) == ref_unpack_key(key)

@@ -8,11 +8,13 @@ from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins.canonical import unpack_key
 from strings_and_coins.families import make
 from strings_and_coins.solver import (
+    DepthLimitError,
     EmptyPositionError,
     SolveBudgetExceeded,
     SolveOptions,
     TranspositionTable,
     ValueConsistencyError,
+    _check_searchable,
     best_move,
     make_table,
     scores_from_value,
@@ -195,6 +197,36 @@ def test_best_move_deterministic_tiebreak():
         again = best_move(make("cycle", 4))
         assert again[0] == first[0]
         assert again[1].differential == first[1].differential
+
+
+def test_too_deep_positions_raise_typed_error():
+    deep = LoopyMultigraph.from_edges([(0, 1)] * 1500)
+    with pytest.raises(DepthLimitError):
+        solve(deep)
+    with pytest.raises(DepthLimitError):
+        best_move(deep)
+    assert solve(LoopyMultigraph.from_edges([(0, 1)] * 500)).differential == -2
+    # keying a star individualises one leaf per level, so its coins count too
+    star = LoopyMultigraph.from_edges([(0, i) for i in range(1, 500)])
+    with pytest.raises(DepthLimitError):
+        solve(star)
+
+
+def test_deepest_admitted_position_solves():
+    def parallel(k):
+        return LoopyMultigraph.from_edges([(0, 1)] * k)
+
+    k = 1
+    while True:
+        try:
+            _check_searchable(parallel(k + 1))
+        except DepthLimitError:
+            break
+        k += 1
+    with pytest.raises(DepthLimitError):
+        solve(parallel(k + 1))
+    assert solve(parallel(k)).differential == (2 if k % 2 else -2)
+    assert best_move(parallel(k))[1].differential == (2 if k % 2 else -2)
 
 
 def test_stats_populated():
