@@ -18,16 +18,20 @@ that fix the individualized prefix pointwise.  Each node keeps those
 orbits as a union-find that only ever merges, reading each newly found
 automorphism once, as nauty and Traces do.
 
-Component forms are combined by sorting them and relabeling into one
-vertex range, so a disjoint union's key is a pure function of the
-component keys.  Two content-addressed caches (component form and whole
-graph) make repeated positions cheap during search.
+Components are split off in one pass over the signature.  Component
+forms are combined by sorting them and relabeling into one vertex range,
+so a disjoint union's key is a pure function of the component keys; each
+form's triples are sorted and its labels lie above those of every earlier
+form, so the combined triples need no sort.  Two content-addressed caches
+(component form and whole graph) make repeated positions cheap during
+search.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import chain
 
 from .graph import EdgeRef, LoopyMultigraph
 
@@ -245,22 +249,57 @@ def _component_canon(n: int, triples: tuple) -> tuple[int, tuple]:
 
 
 def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
-    """Each component as (size, sorted local (a, b, mult) triples)."""
-    comps = g.components()
+    """Each component as (size, sorted local (a, b, mult) triples), in
+    order of least vertex; local labels rank a component's vertices.
+
+    One pass over the signature joins endpoints in a union-find whose root
+    is always the least vertex of its set.  Ranking is monotone, so triples
+    taken in signature order stay sorted in every component and need no
+    sort; a connected position is the signature relabelled, or the
+    signature itself when its vertices are already 0..n-1.
+    """
+    sig = g.signature()
+    verts = sorted(g._incident)
+    n = len(verts)
+    parent = {v: v for v in verts}
+    merges = 0
+    for a, b, _ in sig:
+        if a == b:
+            continue
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            merges += 1
+    if merges == n - 1:
+        if verts[-1] == n - 1:
+            return [(n, sig)]
+        local = {v: i for i, v in enumerate(verts)}
+        return [(n, tuple([(local[a], local[b], m) for a, b, m in sig]))]
     which: dict[int, int] = {}
-    local: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for li, v in enumerate(comp):
-            which[v] = ci
-            local[v] = li
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in comps]
-    for (a, b), m in g._mult.items():
+    local = {}
+    sizes: list[int] = []
+    for v in verts:
+        r = v
+        while parent[r] != r:
+            r = parent[r]
+        if r == v:  # a root is its set's least vertex, so it comes first
+            which[v] = len(sizes)
+            sizes.append(0)
+        ci = which[v] = which[r]
+        local[v] = sizes[ci]
+        sizes[ci] += 1
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
+    for a, b, m in sig:
         buckets[which[a]].append((local[a], local[b], m))
-    out = []
-    for ci, comp in enumerate(comps):
-        buckets[ci].sort()
-        out.append((len(comp), tuple(buckets[ci])))
-    return out
+    return [(size, tuple(bucket)) for size, bucket in zip(sizes, buckets)]
 
 
 def _check_key_limits(vertices: int, multiplicity: int) -> None:
@@ -281,17 +320,17 @@ def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     forms = sorted(forms)
     total = sum(n for n, _ in forms)
     _check_key_limits(total, 0)
-    parts = [struct.pack("<H", total)]
+    # each form's triples are sorted and its shifted labels lie above every
+    # earlier form's, so the concatenation is already sorted
+    fields = [total]
     offset = 0
-    merged = []
     for n, triples in forms:
-        for a, b, m in triples:
-            merged.append((a + offset, b + offset, m))
+        if offset:
+            fields.extend([x for a, b, m in triples for x in (a + offset, b + offset, m)])
+        else:
+            fields.extend(chain.from_iterable(triples))
         offset += n
-    merged.sort()
-    for a, b, m in merged:
-        parts.append(struct.pack("<HHH", a, b, m))
-    return b"".join(parts)
+    return key_fields(2 * len(fields)).pack(*fields)
 
 
 def canonical_key(g: LoopyMultigraph) -> bytes:

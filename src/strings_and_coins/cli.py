@@ -26,6 +26,7 @@ from .solver import (
     SolveOptions,
     TranspositionTable,
     best_move,
+    iter_table,
     solve,
 )
 
@@ -168,15 +169,15 @@ def _cmd_table(args, out, err) -> int:
     table = _seeded_table(path, err) or (TranspositionTable() if not args.no_memo else None)
     opts = _build_options(args, table)
     emitter = _Emitter(args.format, out)
-    for p in range(args.start, args.stop + 1):
-        spec = parse_family(name, (p,) + fixed)
-        try:
-            gv = solve(generate(spec), opts)
-        except SolveBudgetExceeded as exc:
-            print(f"aborted at {spec.label()}: {exc}; rows up to {p - 1} are complete", file=err)
-            _flush_cache(path, opts.table, err)
-            return 3
-        emitter.emit(_row(spec.family, spec.params, gv))
+    try:
+        for spec, gv in iter_table(name, args.start, args.stop, opts, fixed):
+            emitter.emit(_row(spec.family, spec.params, gv))
+    except SolveBudgetExceeded as exc:
+        p = exc.parameter
+        label = parse_family(name, (p,) + fixed).label()
+        print(f"aborted at {label}: {exc}; rows up to {p - 1} are complete", file=err)
+        _flush_cache(path, opts.table, err)
+        return 3
     _flush_cache(path, opts.table, err)
     return 0
 

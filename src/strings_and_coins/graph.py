@@ -16,6 +16,7 @@ shared freely) and makes the capture accounting a pure function of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -167,7 +168,10 @@ class LoopyMultigraph:
         """Fast path for remove_edge: returns (captured, successor).
 
         Assumes a <= b.  Search code calls this directly to skip the
-        NamedTuple wrapper.
+        NamedTuple wrapper.  When this position's signature is known, the
+        successor's is derived from it: the (a, b) triple is found by
+        bisection and dropped or given one less multiplicity, so nothing
+        is sorted again.
         """
         mult = dict(self._mult)
         m = mult.get((a, b))
@@ -177,6 +181,10 @@ class LoopyMultigraph:
             del mult[(a, b)]
         else:
             mult[(a, b)] = m - 1
+        sig = self._sig
+        if sig is not None:
+            i = bisect_left(sig, (a, b))
+            sig = sig[:i] + (((a, b, m - 1),) if m > 1 else ()) + sig[i + 1 :]
         inc = dict(self._incident)
         captured = 0
         n = inc[a] - 1
@@ -196,7 +204,7 @@ class LoopyMultigraph:
         g._mult = mult
         g._incident = inc
         g._edge_count = self._edge_count - 1
-        g._sig = None
+        g._sig = sig
         g._canon = None
         return captured, g
 

@@ -15,8 +15,11 @@ more skip, so a crash mid-write never poisons earlier results.
 
 An append encodes its whole batch first and writes it with a single
 ``write`` under an exclusive ``flock``; a load reads under a shared one.
-Concurrent ``snc`` runs may therefore share one cache file: no record is
-split by another writer's, and no load sees half an append.
+A compaction holds the exclusive lock from its read to its rename, and a
+locker that finds the file renamed over meanwhile opens the new one.
+Concurrent ``snc`` runs, compactions included, may therefore share one
+cache file: no record is split by another writer's, no load sees half an
+append, and no append is lost to a compaction.
 """
 
 from __future__ import annotations
@@ -91,12 +94,29 @@ class CacheLoad:
     records: int = 0
 
 
+def _open_locked(path: str, mode: str, exclusive: bool):
+    """Open ``path`` and ``flock`` it, shared or exclusive; if a compaction
+    replaced the file while the lock was awaited, open the new one instead."""
+    while True:
+        fh = open(path, mode)
+        if fcntl is None:
+            return fh
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        try:
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                return fh
+        except FileNotFoundError:
+            pass
+        fh.close()
+
+
 def load_cache(path: str) -> CacheLoad:
     """Read a value cache; tolerate and count a corrupt or truncated tail."""
-    with open(path, "rb") as fh:
-        if fcntl is not None:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        blob = fh.read()
+    with _open_locked(path, "rb", exclusive=False) as fh:
+        return _parse_cache(fh.read(), path)
+
+
+def _parse_cache(blob: bytes, path: str) -> CacheLoad:
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
         raise CacheFormatError(f"{path}: not a value-cache file")
     entries: dict[bytes, int] = {}
@@ -154,9 +174,7 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
         with open(path, "wb") as fh:
             fh.write(MAGIC + buf)
         return count
-    with open(path, "ab") as fh:
-        if fcntl is not None:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+    with _open_locked(path, "ab", exclusive=True) as fh:
         # under the lock, an empty file is new: it gets the magic first
         if fh.seek(0, os.SEEK_END) == 0:
             buf[:0] = MAGIC
@@ -170,10 +188,12 @@ def compact_cache(path: str) -> tuple[int, int]:
 
     Returns (records before, records after): a 1-3 byte fragment too
     short to hold a length field is not a record.  The rewrite goes
-    through a temp file and an atomic rename.
+    through a temp file and an atomic rename, all under an exclusive
+    ``flock`` on the old file, so no append lands on it unseen.
     """
-    loaded = load_cache(path)
-    tmp = path + ".tmp"
-    save_cache(tmp, dict(sorted(loaded.entries.items())))
-    os.replace(tmp, path)
+    with _open_locked(path, "rb", exclusive=True) as fh:
+        loaded = _parse_cache(fh.read(), path)
+        tmp = path + ".tmp"
+        save_cache(tmp, dict(sorted(loaded.entries.items())))
+        os.replace(tmp, path)
     return loaded.records, len(loaded.entries)

@@ -18,6 +18,11 @@ Search options layer on top of that definition without changing it:
 
 Any combination yields the same value; only the work differs.
 
+Moves are tried most captures first, ties in sorted order.  The capture
+count of a move is read off the incident counts, so the order is fixed
+before any child exists; children are then built in that order on
+demand, and none is built past an alpha-beta cutoff.
+
 The search recurses once per cut string, so ``solve`` and ``best_move``
 refuse, with ``DepthLimitError``, a position whose strings would not fit
 under ``sys.getrecursionlimit()`` together with canonical keying's own
@@ -28,10 +33,14 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterator
 
 from . import canonical
 from .graph import EdgeRef, LoopyMultigraph
+
+if TYPE_CHECKING:
+    from .families import FamilySpec
 
 EXACT, LOWER, UPPER = 0, 1, 2
 
@@ -39,8 +48,9 @@ EXACT, LOWER, UPPER = 0, 1, 2
 class SolveBudgetExceeded(RuntimeError):
     """Raised when a solve outruns its time budget.
 
-    When raised from ``make_table``, ``completed`` holds the rows that
-    finished before the abort and ``parameter`` names the row that did not.
+    When raised from ``iter_table`` or ``make_table``, ``parameter``
+    names the row that did not finish; from ``make_table``, ``completed``
+    also holds the rows that finished before the abort.
     """
 
     def __init__(self, *args):
@@ -194,15 +204,14 @@ class _Searcher:
             if time.monotonic() > self._deadline:
                 raise SolveBudgetExceeded(f"time budget {self.opts.time_budget}s exceeded")
 
-    def _ordered_children(self, g: LoopyMultigraph) -> list[tuple[int, LoopyMultigraph]]:
-        if self.opts.orbit_dedup:
-            pairs = canonical.edge_orbit_representatives(g)
-        else:
-            pairs = sorted(g._mult)
-        kids = [g._child(a, b) for (a, b) in pairs]
-        # captures first (largest first), then simpler successors
-        kids.sort(key=lambda cs: (-cs[0], cs[1].edge_count))
-        return kids
+    def _move_order(self, g: LoopyMultigraph) -> list:
+        """Moves as (a, b, ...) tuples, most captures first, ties in sorted
+        order: the order of the children sorted by (-captured, edge count),
+        since every child has one edge less, without building them."""
+        moves = canonical.edge_orbit_representatives(g) if self.opts.orbit_dedup else g.signature()
+        inc = g._incident
+        # a vertex with one edge instance left falls to whoever cuts it
+        return sorted(moves, key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         if g.edge_count == 0:
@@ -247,7 +256,10 @@ class _Searcher:
         self.stats.nodes += 1
         a0 = a
         best = -(1 << 30)
-        for captured, succ in self._ordered_children(g):
+        # children are built in move order only when reached, so none is
+        # built past a cutoff
+        for t in self._move_order(g):
+            captured, succ = g._child(t[0], t[1])
             if captured:
                 v = captured + self.search(succ, a - captured, b - captured)
             else:
@@ -334,6 +346,37 @@ class TableRow:
     elapsed: float
 
 
+def iter_table(
+    family: str,
+    start: int,
+    stop: int,
+    opts: SolveOptions | None = None,
+    fixed: tuple[int, ...] = (),
+) -> Iterator[tuple[FamilySpec, GameValue]]:
+    """Solve a family over a parameter range, sharing one table, and
+    yield (spec, value) as each row finishes.
+
+    The range varies the family's first parameter from ``start`` to
+    ``stop`` inclusive; ``fixed`` supplies any remaining parameters.
+    Positions recur across rows, so rows share a transposition table.
+    A budget abort raises ``SolveBudgetExceeded`` with ``parameter``
+    naming the row that did not finish.
+    """
+    from .families import generate, parse_family
+
+    opts = opts or SolveOptions()
+    if opts.table is None and opts.memo:
+        opts = replace(opts, table=TranspositionTable(opts.memo_capacity))
+    for p in range(start, stop + 1):
+        spec = parse_family(family, (p,) + fixed)
+        try:
+            gv = solve(generate(spec), opts)
+        except SolveBudgetExceeded as exc:
+            exc.parameter = p
+            raise
+        yield spec, gv
+
+
 def make_table(
     family: str,
     start: int,
@@ -341,43 +384,24 @@ def make_table(
     opts: SolveOptions | None = None,
     fixed: tuple[int, ...] = (),
 ) -> list[TableRow]:
-    """Solve a family over a parameter range, sharing one table.
-
-    The range varies the family's first parameter from ``start`` to
-    ``stop`` inclusive; ``fixed`` supplies any remaining parameters.
-    Positions recur across rows, so rows share a transposition table.
-    """
-    from .families import generate, parse_family
-
-    opts = opts or SolveOptions()
-    if opts.table is None and opts.memo:
-        opts = SolveOptions(
-            pruning=opts.pruning,
-            memo=True,
-            orbit_dedup=opts.orbit_dedup,
-            memo_capacity=opts.memo_capacity,
-            table=TranspositionTable(opts.memo_capacity),
-            time_budget=opts.time_budget,
-        )
-    rows = []
-    for p in range(start, stop + 1):
-        spec = parse_family(family, (p,) + fixed)
-        try:
-            gv = solve(generate(spec), opts)
-        except SolveBudgetExceeded as exc:
-            exc.completed = rows
-            exc.parameter = p
-            raise
-        rows.append(
-            TableRow(
-                p,
-                gv.winner,
-                gv.p1_score,
-                gv.p2_score,
-                gv.differential,
-                gv.stats.nodes,
-                gv.stats.memo_hits,
-                gv.stats.elapsed,
+    """The rows of ``iter_table`` as a list; on a budget abort the
+    exception's ``completed`` holds the rows that finished."""
+    rows: list[TableRow] = []
+    try:
+        for spec, gv in iter_table(family, start, stop, opts, fixed):
+            rows.append(
+                TableRow(
+                    spec.params[0],
+                    gv.winner,
+                    gv.p1_score,
+                    gv.p2_score,
+                    gv.differential,
+                    gv.stats.nodes,
+                    gv.stats.memo_hits,
+                    gv.stats.elapsed,
+                )
             )
-        )
+    except SolveBudgetExceeded as exc:
+        exc.completed = rows
+        raise
     return rows

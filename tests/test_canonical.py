@@ -17,6 +17,7 @@ from strings_and_coins.canonical import (
     graph_from_key,
     unpack_key,
 )
+from strings_and_coins import canonical
 from strings_and_coins.families import make
 
 import support
@@ -168,6 +169,59 @@ def test_golden_key_digest():
         key = canonical_key(g)
         h.update(len(key).to_bytes(4, "little") + key)
     assert h.hexdigest() == _GOLDEN_DIGEST
+
+
+def _split_by_search(g):
+    """Components found by graph search, each as (size, sorted triples
+    over the ranks of its vertices): what the one-pass split must return."""
+    out = []
+    for comp in g.components():
+        rank = {v: i for i, v in enumerate(comp)}
+        triples = sorted((rank[a], rank[b], m) for (a, b), m in g._mult.items() if a in rank)
+        out.append((len(comp), tuple(triples)))
+    return out
+
+
+def _walk_starts(rng):
+    starts = [make(name, *params) for name, *params in _GOLDEN_FAMILIES]
+    for _ in range(60):
+        g = support.random_graph(rng, max_vertices=9, max_edges=12, loop_chance=0.3)
+        # a few more instances of existing classes: parallel strings, stacked loops
+        extra = [ref for ref, _ in g.edge_pairs() if rng.random() < 0.4]
+        edges = [ref for ref, m in g.edge_pairs() for _ in range(m)]
+        starts.append(LoopyMultigraph.from_edges(edges + extra * 2))
+    return starts
+
+
+def test_derived_signature_fuzz():
+    """Walk by ``_child`` and ``remove_edge``, from positions with and
+    without a known signature; every successor must match the position
+    rebuilt from its edge list in signature, component split and key."""
+    rng = random.Random(20261018)
+    steps = 0
+    for start in _walk_starts(rng) * 6:
+        g = start._clone()
+        if rng.random() < 0.5:
+            g.signature()
+        while g.edge_count:
+            moves = [ref for ref, _ in g.edge_pairs()]
+            parallel = [ref for ref, m in g.edge_pairs() if m > 1]
+            a, b = rng.choice(parallel if parallel and rng.random() < 0.5 else moves)
+            parent = g if rng.random() < 0.7 else g._clone()  # a clone's signature is unset
+            if rng.random() < 0.5:
+                _, child = parent._child(a, b)
+            else:
+                child = parent.remove_edge((b, a)).successor
+            ref = LoopyMultigraph.from_edges([e for e, m in child.edge_pairs() for _ in range(m)])
+            assert child.signature() == ref.signature()
+            assert canonical._component_local_triples(child) == _split_by_search(ref)
+            canonical._graph_cache.clear()  # key both through the split, not the cache
+            key = canonical_key(child)
+            canonical._graph_cache.clear()
+            assert key == canonical_key(ref)
+            g = child
+            steps += 1
+    assert steps >= 5000
 
 
 def test_key_limits_raise_typed_error():

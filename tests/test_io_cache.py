@@ -124,6 +124,33 @@ def test_concurrent_appends_keep_every_record(tmp_path):
     assert len(loaded.entries) == 4000  # each batch is 14,000 bytes
 
 
+_BATCH_APPENDER = """
+import struct, sys
+from strings_and_coins.io_cache import save_cache
+path = sys.argv[1]
+for i in range(300):
+    # ten plausible records with keys of their own: n coins, one string 0-1
+    batch = [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in range(2 + 10 * i, 12 + 10 * i)]
+    save_cache(path, batch, append=True)
+"""
+
+
+def test_compact_beside_an_appender_keeps_every_record(tmp_path):
+    path = str(tmp_path / "values.snc")
+    save_cache(path, {})
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(strings_and_coins.__file__))}
+    writer = subprocess.Popen([sys.executable, "-c", _BATCH_APPENDER, path], env=env)
+    compactions = 0
+    deadline = time.monotonic() + 120
+    while writer.poll() is None and time.monotonic() < deadline:
+        compact_cache(path)
+        compactions += 1
+    assert writer.wait(timeout=60) == 0
+    loaded = load_cache(path)
+    assert loaded.skipped == 0
+    assert len(loaded.entries) == 3000, compactions
+
+
 def test_cache_corrupt_tail_is_skipped(tmp_path):
     path = str(tmp_path / "values.snc")
     k1 = canonical_key(make("cycle", 3))

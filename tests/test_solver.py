@@ -5,7 +5,7 @@ import random
 import pytest
 
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
-from strings_and_coins.canonical import unpack_key
+from strings_and_coins.canonical import clear_caches, unpack_key
 from strings_and_coins.families import make
 from strings_and_coins.solver import (
     DepthLimitError,
@@ -233,3 +233,41 @@ def test_stats_populated():
     gv = solve(make("wheel", 4))
     assert gv.stats.nodes > 0
     assert gv.stats.elapsed >= 0.0
+
+
+# (family, parameter, options) -> (differential, nodes, memo hits).  Move
+# order decides both counts, so any change to the order in which search
+# tries moves, or to where it cuts off, shows up here.
+_SEARCH_TRACE = [
+    ("complete", 6, SolveOptions(), (4, 182, 568)),
+    ("prism", 5, SolveOptions(), (6, 468, 1109)),
+    ("wheel", 7, SolveOptions(), (-4, 527, 1047)),
+    ("balloon_path", 8, SolveOptions(), (0, 888, 1687)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 514, 985)),
+    ("friendship", 5, SolveOptions(), (-3, 44, 129)),
+    ("wheel", 6, SolveOptions(orbit_dedup=True), (3, 169, 160)),
+    ("balloon_path", 6, SolveOptions(orbit_dedup=True), (0, 177, 204)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 1028, 0)),
+    ("prism", 3, SolveOptions(pruning=False), (4, 47, 193)),
+]
+_TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
+
+
+@pytest.mark.parametrize("family,param,opts,expect", _SEARCH_TRACE, ids=_TRACE_IDS)
+def test_search_trace_is_pinned(family, param, opts, expect):
+    clear_caches()
+    gv = solve(make(family, param), opts)
+    assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == expect
+
+
+def test_best_move_is_pinned():
+    expect = {
+        ("complete", 6): (EdgeRef(0, 1), 4, 181, 568),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 534, 1081),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 1088, 2445),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 44, 142),
+    }
+    for (family, param), want in expect.items():
+        clear_caches()
+        ref, gv = best_move(make(family, param))
+        assert (ref, gv.differential, gv.stats.nodes, gv.stats.memo_hits) == want
