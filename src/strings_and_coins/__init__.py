@@ -15,7 +15,6 @@ from .canonical import (
     canonical_key,
     color_refine,
     combine_component_keys,
-    edge_orbit_representatives,
     graph_from_key,
 )
 from .claims import ClaimReport, UnknownClaimError, all_trees, claim_ids, verify_all, verify_claim
@@ -71,7 +70,6 @@ __all__ = [
     "canonical_key",
     "color_refine",
     "combine_component_keys",
-    "edge_orbit_representatives",
     "graph_from_key",
     "FamilySpec",
     "ParameterError",

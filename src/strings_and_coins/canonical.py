@@ -1,4 +1,4 @@
-"""Canonical forms for positions, isomorphism testing, and edge orbits.
+"""Canonical forms for positions and isomorphism testing.
 
 Two positions that differ only by vertex relabeling are the same game, so
 search memoizes on a canonical key: a byte string that is identical for
@@ -23,8 +23,8 @@ forms are combined by sorting them and relabeling into one vertex range,
 so a disjoint union's key is a pure function of the component keys; each
 form's triples are sorted and its labels lie above those of every earlier
 form, so the combined triples need no sort.  Two content-addressed caches
-(component form and whole graph) make repeated positions cheap during
-search.
+make repeated positions cheap during search: whole-graph keys by labelled
+signature, and component forms by local triples.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ import struct
 from functools import lru_cache
 from itertools import chain
 
-from .graph import EdgeRef, LoopyMultigraph
+from .graph import LoopyMultigraph
 
 _COMP_CACHE_CAP = 1 << 21
 _GRAPH_CACHE_CAP = 1 << 21
 
 _comp_cache: dict[tuple, tuple] = {}
 _graph_cache: dict[tuple, bytes] = {}
-
-_MARK = 1 << 20  # multiplicity bump used to single out an edge class
 
 _U16_MAX = 0xFFFF  # widest vertex count, label or multiplicity a key can hold
 
@@ -234,7 +232,7 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
     return best_serial[0]
 
 
-def _component_canon(n: int, triples: tuple) -> tuple[int, tuple]:
+def _component_form(n: int, triples: tuple) -> tuple[int, tuple]:
     key = (n, triples)
     r = _comp_cache.get(key)
     if r is None:
@@ -341,18 +339,15 @@ def canonical_key(g: LoopyMultigraph) -> bytes:
     (v, v, multiplicity).  Raises ``KeyLimitError`` when the vertex count
     or a multiplicity does not fit in a u16 field.
     """
-    if g._canon is not None:
-        return g._canon
     sig = g.signature()
     key = _graph_cache.get(sig)
     if key is None:
         check_key_limits(g)
-        forms = [_component_canon(n, t) for n, t in _component_local_triples(g)]
+        forms = [_component_form(n, t) for n, t in _component_local_triples(g)]
         key = _combine_forms(forms)
         if len(_graph_cache) >= _GRAPH_CACHE_CAP:
             _graph_cache.clear()
         _graph_cache[sig] = key
-    g._canon = key
     return key
 
 
@@ -381,7 +376,7 @@ def combine_component_keys(keys: list[bytes]) -> bytes:
     forms = []
     for k in keys:
         g = graph_from_key(k)
-        forms.extend(_component_canon(n, t) for n, t in _component_local_triples(g))
+        forms.extend(_component_form(n, t) for n, t in _component_local_triples(g))
     return _combine_forms(forms)
 
 
@@ -392,45 +387,6 @@ def graph_from_key(key: bytes) -> LoopyMultigraph:
     for a, b, m in triples:
         edges.extend([(a, b)] * m)
     return LoopyMultigraph.from_edges(edges)
-
-
-# -- edge orbits ---------------------------------------------------------------
-
-
-def edge_orbit_representatives(g: LoopyMultigraph) -> list[EdgeRef]:
-    """One move per automorphism orbit of edge classes, sorted.
-
-    An edge class is singled out by bumping its multiplicity far beyond
-    any natural value; two classes lie in one orbit exactly when their
-    marked graphs are isomorphic, i.e. share a canonical form.
-    """
-    pairs = sorted(g._mult)
-    if len(pairs) <= 1:
-        return [EdgeRef(a, b) for (a, b) in pairs]
-    comp_data = _component_local_triples(g)
-    forms = [_component_canon(n, t) for n, t in comp_data]
-    comps = g.components()
-    which: dict[int, int] = {}
-    local: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for li, v in enumerate(comp):
-            which[v] = ci
-            local[v] = li
-    reps: dict[tuple, tuple[int, int]] = {}
-    for (a, b) in pairs:
-        ci = which[a]
-        n, triples = comp_data[ci]
-        la, lb = local[a], local[b]
-        if la > lb:
-            la, lb = lb, la
-        marked = tuple(
-            (x, y, m + _MARK) if (x, y) == (la, lb) else (x, y, m) for x, y, m in triples
-        )
-        mform = _component_canon(n, marked)
-        ident = tuple(sorted(forms[:ci] + [mform] + forms[ci + 1 :]))
-        if ident not in reps:
-            reps[ident] = (a, b)
-    return [EdgeRef(a, b) for (a, b) in sorted(reps.values())]
 
 
 # -- independent isomorphism oracle --------------------------------------------

@@ -4,7 +4,8 @@ Results go to standard output (JSON object per row, or TSV with a fixed
 header); diagnostics go to standard error.  Exit codes: 0 success,
 1 failed verification, 2 usage error or a position too large to key or
 too deep to search, 3 time-budget abort.  The value cache defaults to
-the path in ``SNC_CACHE`` when set.
+the path in ``SNC_CACHE`` when set; ``--no-memo`` neither reads nor
+writes it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def _build_options(args: argparse.Namespace, table: TranspositionTable | None) -
     return SolveOptions(
         pruning=not args.no_prune,
         memo=not args.no_memo,
-        orbit_dedup=args.orbit_dedup,
         table=table,
         time_budget=args.time_budget,
     )
@@ -95,9 +95,9 @@ def _load_position(args: argparse.Namespace) -> tuple[str, tuple[int, ...], Loop
 
 
 def _cache_path(args: argparse.Namespace) -> str | None:
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get(CACHE_ENV) or None
+    if args.no_memo:  # no table to seed from the cache or to save into it
+        return None
+    return args.cache or os.environ.get(CACHE_ENV) or None
 
 
 def _seeded_table(path: str | None, err) -> TranspositionTable | None:
@@ -166,7 +166,7 @@ def _cmd_table(args, out, err) -> int:
         print(f"error: --from {args.start} exceeds --to {args.stop}", file=err)
         return 2
     path = _cache_path(args)
-    table = _seeded_table(path, err) or (TranspositionTable() if not args.no_memo else None)
+    table = _seeded_table(path, err)
     opts = _build_options(args, table)
     emitter = _Emitter(args.format, out)
     try:
@@ -219,8 +219,7 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", metavar="PATH", help=f"value cache file (default: ${CACHE_ENV})")
     p.add_argument("--no-prune", action="store_true", help="disable alpha-beta windows")
-    p.add_argument("--no-memo", action="store_true", help="disable the transposition table")
-    p.add_argument("--orbit-dedup", action="store_true", help="expand one move per symmetry orbit")
+    p.add_argument("--no-memo", action="store_true", help="disable the transposition table and the value cache")
     p.add_argument("--time-budget", type=float, metavar="SECONDS", help="abort after this long")
 
 

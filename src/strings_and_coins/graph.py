@@ -62,14 +62,13 @@ class LoopyMultigraph:
     impossible by construction.
     """
 
-    __slots__ = ("_mult", "_incident", "_edge_count", "_sig", "_canon")
+    __slots__ = ("_mult", "_incident", "_edge_count", "_sig")
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         self._mult: dict[tuple[int, int], int] = {}
         self._incident: dict[int, int] = {}
         self._edge_count = 0
         self._sig: tuple | None = None
-        self._canon: bytes | None = None
         for a, b in edges:
             self._add_in_place(a, b)
 
@@ -205,7 +204,6 @@ class LoopyMultigraph:
         g._incident = inc
         g._edge_count = self._edge_count - 1
         g._sig = sig
-        g._canon = None
         return captured, g
 
     def remove_edge(self, e: tuple[int, int]) -> MoveOutcome:
@@ -220,18 +218,9 @@ class LoopyMultigraph:
         captured, succ = self._child(a, b)
         return MoveOutcome(captured, succ, captured > 0 and succ._edge_count > 0)
 
-    def distinct_moves(self, orbit_dedup: bool = False) -> list[EdgeRef]:
-        """Available move classes, sorted.
-
-        Parallel edge instances always collapse to one entry.  With
-        ``orbit_dedup`` the list is further thinned to one representative
-        per automorphism orbit (computed via the canonical-form machinery),
-        which never changes the optimal value, only the branching factor.
-        """
-        if orbit_dedup:
-            from . import canonical
-
-            return canonical.edge_orbit_representatives(self)
+    def distinct_moves(self) -> list[EdgeRef]:
+        """Available move classes, sorted; parallel edge instances collapse
+        to one entry."""
         return [EdgeRef(a, b) for (a, b) in sorted(self._mult)]
 
     def disjoint_union(self, other: "LoopyMultigraph") -> "LoopyMultigraph":
@@ -254,7 +243,6 @@ class LoopyMultigraph:
         g._incident = dict(self._incident)
         g._edge_count = self._edge_count
         g._sig = None
-        g._canon = None
         return g
 
     # -- structure helpers ------------------------------------------------

@@ -9,12 +9,12 @@ hands the turn over, negating the successor value.
 Search options layer on top of that definition without changing it:
 
 * ``memo``       -- transposition table keyed by canonical form, so all
-                    relabelings of a position share one entry.
+                    relabelings of a position share one entry.  A table
+                    passed in ``table`` is used only with ``memo`` on.
 * ``pruning``    -- alpha-beta windows (shifted by captures), plus
                     clamping to the remaining-vertex bound |value| <= r.
                     Table entries then carry EXACT/LOWER/UPPER flags in
                     the usual fail-soft sense.
-* ``orbit_dedup`` -- expand one move per automorphism orbit.
 
 Any combination yields the same value; only the work differs.
 
@@ -141,7 +141,6 @@ class SolveOptions:
 
     pruning: bool = True
     memo: bool = True
-    orbit_dedup: bool = False
     memo_capacity: int | None = None
     table: TranspositionTable | None = None
     time_budget: float | None = None
@@ -186,10 +185,10 @@ def _winner(differential: int) -> str:
 class _Searcher:
     def __init__(self, opts: SolveOptions):
         self.opts = opts
-        if opts.table is not None:
-            self.table = opts.table
+        if opts.memo:
+            self.table = opts.table if opts.table is not None else TranspositionTable(opts.memo_capacity)
         else:
-            self.table = TranspositionTable(opts.memo_capacity) if opts.memo else None
+            self.table = None
         self.stats = SearchStats()
         self._deadline: float | None = None
         self._tick = 0
@@ -208,10 +207,9 @@ class _Searcher:
         """Moves as (a, b, ...) tuples, most captures first, ties in sorted
         order: the order of the children sorted by (-captured, edge count),
         since every child has one edge less, without building them."""
-        moves = canonical.edge_orbit_representatives(g) if self.opts.orbit_dedup else g.signature()
         inc = g._incident
         # a vertex with one edge instance left falls to whoever cuts it
-        return sorted(moves, key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
+        return sorted(g.signature(), key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         if g.edge_count == 0:
@@ -320,7 +318,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     best_v = None
     best_ref = None
     best_key = b""
-    for ref in g.distinct_moves(orbit_dedup=opts.orbit_dedup):
+    for ref in g.distinct_moves():
         captured, succ = g._child(ref.u, ref.v)
         if captured:
             v = captured + searcher.search(succ, -n, n)

@@ -105,13 +105,14 @@ class PairedMirrorPolicy:
         if self.forest_takeover and g.is_forest():
             # a forest is a won endgame: strip leaves and take everything
             return self._leaf_strip_move(g)
-        captures = [p for p in sorted(g._mult) if g.capture_count(p) > 0]
+        inc = g._incident
+        # a class captures when one of its endpoints has nothing else left
+        captures = {p for p in g._mult if inc[p[0]] == 1 or inc[p[1]] == 1}
         if captures:
-            cap_set = set(captures)
             for p in state:
-                if p in cap_set:
+                if p in captures:
                     return EdgeRef(*p)
-            return EdgeRef(*captures[0])
+            return EdgeRef(*min(captures))
         if state:
             return EdgeRef(*state[0])
         return EdgeRef(*min(g._mult))

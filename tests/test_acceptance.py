@@ -202,7 +202,7 @@ def test_criterion_09_hypercube_table():
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set SNC_STRETCH=1")
 def test_criterion_09_hypercube_q4_stretch():
-    gv = solve(make("hypercube", 4), SolveOptions(orbit_dedup=True, memo_capacity=1_000_000))
+    gv = solve(make("hypercube", 4), SolveOptions(memo_capacity=1_000_000))
     assert (gv.winner, gv.p1_score, gv.p2_score) == ("P2", 6, 10)
 
 
@@ -297,7 +297,6 @@ def test_criterion_14_option_invariance():
     variants = [
         SolveOptions(pruning=False),
         SolveOptions(memo=False),
-        SolveOptions(orbit_dedup=True),
     ]
     for g, expect in support.oracle_results():
         for v in variants:

@@ -6,14 +6,13 @@ import struct
 
 import pytest
 
-from strings_and_coins.graph import EdgeRef, LoopyMultigraph
+from strings_and_coins.graph import LoopyMultigraph
 from strings_and_coins.canonical import (
     KeyLimitError,
     are_isomorphic,
     canonical_key,
     color_refine,
     combine_component_keys,
-    edge_orbit_representatives,
     graph_from_key,
     unpack_key,
 )
@@ -270,32 +269,3 @@ def test_unpack_key_contents():
     assert n == 3
     assert len(triples) == 3
     assert all(m == 1 for _, _, m in triples)
-
-
-def test_edge_orbits_collapse_symmetric_graphs():
-    assert len(edge_orbit_representatives(make("complete", 3))) == 1
-    assert len(edge_orbit_representatives(make("cycle", 6))) == 1
-    assert len(edge_orbit_representatives(make("path", 4))) == 2
-    # wheel: rim edges and spokes are distinct orbits
-    assert len(edge_orbit_representatives(make("wheel", 5))) == 2
-    reps = edge_orbit_representatives(make("loopy_star", 2))
-    assert len(reps) == 2  # tie edges vs loops
-
-
-def test_edge_orbits_cover_all_move_classes():
-    rng = random.Random(123)
-    for _ in range(50):
-        g = support.random_graph(rng, max_vertices=6, max_edges=8)
-        reps = set(edge_orbit_representatives(g))
-        moves = set(g.distinct_moves())
-        assert reps <= moves
-        # every move class must land in some representative's orbit:
-        # removing it reaches a successor some representative also reaches
-        rep_succs = {canonical_key(g.remove_edge(r).successor) for r in reps}
-        for mv in moves:
-            assert canonical_key(g.remove_edge(mv).successor) in rep_succs
-
-
-def test_orbit_representatives_are_edge_refs():
-    for ref in edge_orbit_representatives(make("loopy_cycle", 4, 2)):
-        assert isinstance(ref, EdgeRef)

@@ -246,3 +246,23 @@ def test_solver_flag_passthrough():
     (row,) = json_rows(out)
     assert (row["winner"], row["p1"], row["p2"]) == ("P2", 0, 5)
     assert row["memo_hits"] == 0
+
+
+def test_no_memo_ignores_the_cache(tmp_path):
+    # a cache holding one record must neither seed nor memoise a --no-memo
+    # search, and the search must leave the file as it found it
+    cache = tmp_path / "values.snc"
+    path5 = make("path", 5)
+    save_cache(str(cache), [(canonical_key(path5), path5.vertex_count)])
+    before = cache.read_bytes()
+    code, out, _ = invoke("solve", "--family", "cycle", "5", "--no-memo", "--cache", str(cache), "--json")
+    assert code == 0
+    (row,) = json_rows(out)
+    assert (row["differential"], row["nodes"], row["memo_hits"]) == (-5, 21, 0)
+    assert cache.read_bytes() == before
+    code, out, _ = invoke(
+        "table", "--family", "cycle", "--from", "4", "--to", "5", "--no-memo", "--cache", str(cache), "--json"
+    )
+    assert code == 0
+    assert [(r["nodes"], r["memo_hits"]) for r in json_rows(out)] == [(13, 0), (21, 0)]
+    assert cache.read_bytes() == before

@@ -84,12 +84,7 @@ def test_distinct_moves_collapses_parallels():
     g = LoopyMultigraph.from_edges([(0, 0), (0, 0), (0, 1)])
     moves = g.distinct_moves()
     assert sorted(moves) == [EdgeRef(0, 0), EdgeRef(0, 1)]
-
-
-def test_distinct_moves_orbit_dedup_on_triangle():
-    g = make("complete", 3)
-    assert len(g.distinct_moves()) == 3
-    assert len(g.distinct_moves(orbit_dedup=True)) == 1
+    assert len(make("complete", 3).distinct_moves()) == 3
 
 
 def test_distinct_moves_empty():

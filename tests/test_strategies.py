@@ -128,6 +128,21 @@ def test_mirror_takes_offered_capture_before_twin():
     assert g.capture_count((answer.u, answer.v)) > 0
 
 
+def test_mirror_capture_choice_matches_a_capture_count_scan():
+    # the policy's capture pick equals a plain scan of capture_count over
+    # the sorted classes: a queued twin first, else the least capture
+    rng = random.Random(4242)
+    pol = PairedMirrorPolicy({})
+    for _ in range(300):
+        g = support.random_graph(rng, max_vertices=7, max_edges=10)
+        classes = sorted(g._mult)
+        state = tuple(rng.sample(classes, rng.randint(0, len(classes))))
+        captures = [p for p in classes if g.capture_count(p) > 0]
+        if captures:
+            queued = [p for p in state if p in captures]
+            assert tuple(pol.choose(state, g)) == (queued or captures)[0], (g.signature(), state)
+
+
 def test_mirror_forces_tie_or_better_on_doubled_bases():
     for base in [make("cycle", 3), make("cycle", 4), make("complete", 4)]:
         g, pol = mirror_policy(base)
