@@ -7,7 +7,7 @@ Run:  python3 demos/reproduce_tables.py            (desk-scale set, ~1 min)
 import argparse
 import time
 
-from strings_and_coins import SolveOptions, TranspositionTable, make_table
+from strings_and_coins import SolveOptions, TranspositionTable, iter_table
 
 TABLES = [
     ("friendship graphs", "friendship", 1, 8, ()),
@@ -38,9 +38,9 @@ def print_table(title, family, lo, hi, fixed, opts):
         gv = solve(make(family), opts)
         print(f"  {family:12s} {gv.winner:3s} ({gv.p1_score}-{gv.p2_score})")
     else:
-        for row in make_table(family, lo, hi, opts, fixed=fixed):
-            label = f"{family}({row.parameter})"
-            print(f"  {label:12s} {row.winner:3s} ({row.p1_score}-{row.p2_score})")
+        for spec, gv in iter_table(family, lo, hi, opts, fixed=fixed):
+            label = f"{family}({spec.params[0]})"
+            print(f"  {label:12s} {gv.winner:3s} ({gv.p1_score}-{gv.p2_score})")
     print(f"  [{time.perf_counter() - t0:.2f}s]")
     print()
 

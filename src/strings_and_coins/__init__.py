@@ -9,15 +9,8 @@ structural claims about graph families, including constructive mirror
 strategies played against an exhaustive best-response adversary.
 """
 
-from .canonical import (
-    KeyLimitError,
-    are_isomorphic,
-    canonical_key,
-    color_refine,
-    combine_component_keys,
-    graph_from_key,
-)
-from .claims import ClaimReport, UnknownClaimError, all_trees, claim_ids, verify_all, verify_claim
+from .canonical import KeyLimitError, are_isomorphic, canonical_key
+from .claims import ClaimReport, UnknownClaimError, claim_ids, verify_all, verify_claim
 from .families import FamilySpec, ParameterError, family_names, generate, make, parse_family
 from .graph import EdgeRef, LoopyMultigraph, MoveOutcome, PositionError
 from .io_cache import (
@@ -38,11 +31,10 @@ from .solver import (
     SearchStats,
     SolveBudgetExceeded,
     SolveOptions,
-    TableRow,
     TranspositionTable,
     ValueConsistencyError,
     best_move,
-    make_table,
+    iter_table,
     scores_from_value,
     solve,
 )
@@ -68,9 +60,6 @@ __all__ = [
     "KeyLimitError",
     "are_isomorphic",
     "canonical_key",
-    "color_refine",
-    "combine_component_keys",
-    "graph_from_key",
     "FamilySpec",
     "ParameterError",
     "family_names",
@@ -84,10 +73,9 @@ __all__ = [
     "EmptyPositionError",
     "DepthLimitError",
     "ValueConsistencyError",
-    "TableRow",
     "TranspositionTable",
     "best_move",
-    "make_table",
+    "iter_table",
     "scores_from_value",
     "solve",
     "OptimalPolicy",
@@ -101,7 +89,6 @@ __all__ = [
     "quadrant_pairing",
     "ClaimReport",
     "UnknownClaimError",
-    "all_trees",
     "claim_ids",
     "verify_all",
     "verify_claim",

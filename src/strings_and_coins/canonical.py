@@ -82,43 +82,6 @@ def _refine(n: int, adj: list[dict[int, int]], colors: list[int]) -> list[int]:
         ncells = len(order)
 
 
-def color_refine(g: LoopyMultigraph, partition: list[list[int]] | None = None) -> list[list[int]]:
-    """Refine a vertex partition to equitable cells; coarsest by default.
-
-    Returns the stable ordered partition as lists of vertex ids.  Never
-    splits vertices that some automorphism respecting the input partition
-    can exchange.
-    """
-    verts = g.vertices
-    n = len(verts)
-    if n == 0:
-        return []
-    idx = {v: i for i, v in enumerate(verts)}
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    loops = [0] * n
-    for (a, b), m in g.edge_pairs():
-        if a == b:
-            loops[idx[a]] = m
-        else:
-            adj[idx[a]][idx[b]] = m
-            adj[idx[b]][idx[a]] = m
-    if partition is None:
-        init = [(g.incident_count(v), loops[idx[v]]) for v in verts]
-    else:
-        cell_of = {}
-        for ci, cell in enumerate(partition):
-            for v in cell:
-                cell_of[v] = ci
-        init = [(cell_of[v], g.incident_count(v), loops[idx[v]]) for v in verts]
-    order = sorted(set(init))
-    rank = {s: r for r, s in enumerate(order)}
-    colors = _refine(n, adj, [rank[s] for s in init])
-    cells: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        cells.setdefault(c, []).append(verts[i])
-    return [sorted(cells[c]) for c in sorted(cells)]
-
-
 # -- per-component canonical search ------------------------------------------
 
 
@@ -364,29 +327,6 @@ def unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
         raise ValueError("malformed canonical key")
     f = key_fields(len(key)).unpack(key)
     return f[0], list(zip(f[1::3], f[2::3], f[3::3]))
-
-
-def combine_component_keys(keys: list[bytes]) -> bytes:
-    """Key of the disjoint union of the keyed graphs, in any order.
-
-    Inputs may themselves be keys of disconnected graphs; each is split
-    back into components so the union's component ordering matches what
-    ``canonical_key`` would produce on the assembled graph.
-    """
-    forms = []
-    for k in keys:
-        g = graph_from_key(k)
-        forms.extend(_component_form(n, t) for n, t in _component_local_triples(g))
-    return _combine_forms(forms)
-
-
-def graph_from_key(key: bytes) -> LoopyMultigraph:
-    """Rebuild a representative position from a canonical key."""
-    _, triples = unpack_key(key)
-    edges = []
-    for a, b, m in triples:
-        edges.extend([(a, b)] * m)
-    return LoopyMultigraph.from_edges(edges)
 
 
 # -- independent isomorphism oracle --------------------------------------------

@@ -5,7 +5,8 @@ header); diagnostics go to standard error.  Exit codes: 0 success,
 1 failed verification, 2 usage error or a position too large to key or
 too deep to search, 3 time-budget abort.  The value cache defaults to
 the path in ``SNC_CACHE`` when set; ``--no-memo`` neither reads nor
-writes it.
+writes it.  ``solve``, ``bestmove`` and ``table`` append the values they
+proved to the cache on every exit, a budget abort included.
 """
 
 from __future__ import annotations
@@ -72,15 +73,6 @@ class _Emitter:
         self.out.flush()
 
 
-def _build_options(args: argparse.Namespace, table: TranspositionTable | None) -> SolveOptions:
-    return SolveOptions(
-        pruning=not args.no_prune,
-        memo=not args.no_memo,
-        table=table,
-        time_budget=args.time_budget,
-    )
-
-
 def _load_position(args: argparse.Namespace) -> tuple[str, tuple[int, ...], LoopyMultigraph]:
     if args.family:
         name, raw = args.family[0], args.family[1:]
@@ -94,22 +86,20 @@ def _load_position(args: argparse.Namespace) -> tuple[str, tuple[int, ...], Loop
     return "custom", (), g
 
 
-def _cache_path(args: argparse.Namespace) -> str | None:
-    if args.no_memo:  # no table to seed from the cache or to save into it
-        return None
-    return args.cache or os.environ.get(CACHE_ENV) or None
-
-
-def _seeded_table(path: str | None, err) -> TranspositionTable | None:
-    if path is None:
-        return None
-    table = TranspositionTable()
-    if os.path.exists(path):
-        loaded = io_cache.load_cache(path)
-        table.seed(loaded.entries)
-        if loaded.skipped:
-            print(f"warning: {path}: skipped {loaded.skipped} corrupt record(s)", file=err)
-    return table
+def _solver_options(args: argparse.Namespace, err) -> tuple[str | None, SolveOptions]:
+    """The value-cache path, or None, and the options for one solver
+    command; with a path, the table is seeded from the cache file."""
+    path = None if args.no_memo else args.cache or os.environ.get(CACHE_ENV) or None
+    table = None
+    if path is not None:
+        table = TranspositionTable()
+        if os.path.exists(path):
+            loaded = io_cache.load_cache(path)
+            table.seed(loaded.entries)
+            if loaded.skipped:
+                print(f"warning: {path}: skipped {loaded.skipped} corrupt record(s)", file=err)
+    opts = SolveOptions(pruning=not args.no_prune, memo=not args.no_memo, table=table, time_budget=args.time_budget)
+    return path, opts
 
 
 def _flush_cache(path: str | None, table: TranspositionTable | None, err) -> None:
@@ -123,17 +113,15 @@ def _flush_cache(path: str | None, table: TranspositionTable | None, err) -> Non
 
 def _cmd_solve(args, out, err) -> int:
     family, params, g = _load_position(args)
-    path = _cache_path(args)
-    table = _seeded_table(path, err)
-    opts = _build_options(args, table)
+    path, opts = _solver_options(args, err)
     try:
         gv = solve(g, opts)
+        _Emitter(args.format, out).emit(_row(family, params, gv))
     except SolveBudgetExceeded as exc:
         print(f"aborted: {exc}", file=err)
-        _flush_cache(path, opts.table, err)
         return 3
-    _Emitter(args.format, out).emit(_row(family, params, gv))
-    _flush_cache(path, opts.table, err)
+    finally:
+        _flush_cache(path, opts.table, err)
     return 0
 
 
@@ -142,16 +130,15 @@ def _cmd_bestmove(args, out, err) -> int:
     if g.edge_count == 0:
         print("error: position has no edges, no move to pick", file=err)
         return 2
-    path = _cache_path(args)
-    table = _seeded_table(path, err)
-    opts = _build_options(args, table)
+    path, opts = _solver_options(args, err)
     try:
         ref, gv = best_move(g, opts)
+        _Emitter(args.format, out).emit(_row(family, params, gv, extra={"move": f"{ref.u}-{ref.v}"}))
     except SolveBudgetExceeded as exc:
         print(f"aborted: {exc}", file=err)
         return 3
-    _Emitter(args.format, out).emit(_row(family, params, gv, extra={"move": f"{ref.u}-{ref.v}"}))
-    _flush_cache(path, opts.table, err)
+    finally:
+        _flush_cache(path, opts.table, err)
     return 0
 
 
@@ -165,9 +152,7 @@ def _cmd_table(args, out, err) -> int:
     if args.start > args.stop:
         print(f"error: --from {args.start} exceeds --to {args.stop}", file=err)
         return 2
-    path = _cache_path(args)
-    table = _seeded_table(path, err)
-    opts = _build_options(args, table)
+    path, opts = _solver_options(args, err)
     emitter = _Emitter(args.format, out)
     try:
         for spec, gv in iter_table(name, args.start, args.stop, opts, fixed):
@@ -176,9 +161,9 @@ def _cmd_table(args, out, err) -> int:
         p = exc.parameter
         label = parse_family(name, (p,) + fixed).label()
         print(f"aborted at {label}: {exc}; rows up to {p - 1} are complete", file=err)
-        _flush_cache(path, opts.table, err)
         return 3
-    _flush_cache(path, opts.table, err)
+    finally:
+        _flush_cache(path, opts.table, err)
     return 0
 
 

@@ -124,17 +124,6 @@ class LoopyMultigraph:
         for (a, b) in sorted(self._mult):
             yield EdgeRef(a, b), self._mult[(a, b)]
 
-    def capture_count(self, e: tuple[int, int]) -> int:
-        """How many vertices removing one instance of ``e`` would capture."""
-        a, b = e
-        if a > b:
-            a, b = b, a
-        if (a, b) not in self._mult:
-            raise PositionError(f"no edge {(a, b)} in position")
-        if a == b:
-            return 1 if self._incident[a] == 1 else 0
-        return (1 if self._incident[a] == 1 else 0) + (1 if self._incident[b] == 1 else 0)
-
     def signature(self) -> tuple:
         """Sorted (u, v, multiplicity) triples; equal iff same labeled graph."""
         if self._sig is None:
@@ -246,32 +235,6 @@ class LoopyMultigraph:
         return g
 
     # -- structure helpers ------------------------------------------------
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, sorted by first vertex."""
-        seen: set[int] = set()
-        adj: dict[int, set[int]] = {v: set() for v in self._incident}
-        for (a, b) in self._mult:
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        out = []
-        for v in sorted(self._incident):
-            if v in seen:
-                continue
-            comp = [v]
-            seen.add(v)
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        stack.append(y)
-            comp.sort()
-            out.append(comp)
-        return out
 
     def is_forest(self) -> bool:
         """True when the position has no cycle (so no loops or parallel edges)."""

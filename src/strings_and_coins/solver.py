@@ -17,6 +17,9 @@ Search options layer on top of that definition without changing it:
                     the usual fail-soft sense.
 
 Any combination yields the same value; only the work differs.
+``solve`` values one position, ``best_move`` also names an optimal move,
+and ``iter_table`` streams a family's rows over a parameter range through
+one shared table.
 
 Moves are tried most captures first, ties in sorted order.  The capture
 count of a move is read off the incident counts, so the order is fixed
@@ -48,14 +51,12 @@ EXACT, LOWER, UPPER = 0, 1, 2
 class SolveBudgetExceeded(RuntimeError):
     """Raised when a solve outruns its time budget.
 
-    When raised from ``iter_table`` or ``make_table``, ``parameter``
-    names the row that did not finish; from ``make_table``, ``completed``
-    also holds the rows that finished before the abort.
+    When raised from ``iter_table``, ``parameter`` names the row that did
+    not finish; the rows before it were already yielded.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.completed: list[TableRow] = []
         self.parameter: int | None = None
 
 
@@ -332,18 +333,6 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     return best_ref, GameValue(best_v, p1, p2, _winner(best_v), searcher.stats)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    parameter: int
-    winner: str
-    p1_score: int
-    p2_score: int
-    differential: int
-    nodes: int
-    memo_hits: int
-    elapsed: float
-
-
 def iter_table(
     family: str,
     start: int,
@@ -373,33 +362,3 @@ def iter_table(
             exc.parameter = p
             raise
         yield spec, gv
-
-
-def make_table(
-    family: str,
-    start: int,
-    stop: int,
-    opts: SolveOptions | None = None,
-    fixed: tuple[int, ...] = (),
-) -> list[TableRow]:
-    """The rows of ``iter_table`` as a list; on a budget abort the
-    exception's ``completed`` holds the rows that finished."""
-    rows: list[TableRow] = []
-    try:
-        for spec, gv in iter_table(family, start, stop, opts, fixed):
-            rows.append(
-                TableRow(
-                    spec.params[0],
-                    gv.winner,
-                    gv.p1_score,
-                    gv.p2_score,
-                    gv.differential,
-                    gv.stats.nodes,
-                    gv.stats.memo_hits,
-                    gv.stats.elapsed,
-                )
-            )
-    except SolveBudgetExceeded as exc:
-        exc.completed = rows
-        raise
-    return rows

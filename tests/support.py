@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from strings_and_coins.canonical import unpack_key
 from strings_and_coins.graph import LoopyMultigraph
 from strings_and_coins.families import make
 
@@ -34,6 +35,34 @@ def brute_value(g: LoopyMultigraph) -> int:
             if best is None or v > best:
                 best = v
     return best
+
+
+def graph_from_key(key: bytes) -> LoopyMultigraph:
+    """A position whose canonical key is ``key``, on the key's own labels."""
+    _, triples = unpack_key(key)
+    return LoopyMultigraph.from_edges([(a, b) for a, b, m in triples for _ in range(m)])
+
+
+def components(g: LoopyMultigraph) -> list[list[int]]:
+    """Connected components by breadth-first search, as sorted vertex
+    lists in order of least vertex."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for ref, _ in g.edge_pairs():
+        adj[ref.u].add(ref.v)
+        adj[ref.v].add(ref.u)
+    seen: set[int] = set()
+    out = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for x in comp:  # grows while it is read: a breadth-first queue
+            for y in adj[x] - seen:
+                seen.add(y)
+                comp.append(y)
+        out.append(sorted(comp))
+    return out
 
 
 def random_graph(

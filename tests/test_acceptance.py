@@ -20,7 +20,7 @@ import pytest
 
 from strings_and_coins.claims import verify_claim
 from strings_and_coins.families import make
-from strings_and_coins.solver import SolveOptions, TranspositionTable, make_table, solve
+from strings_and_coins.solver import SolveOptions, TranspositionTable, iter_table, solve
 from strings_and_coins.strategies import balloon_mirror, best_response_value, mirror_policy
 
 import support
@@ -39,8 +39,8 @@ def check_rows(family, expected, fixed=()):
     """expected: list of (parameter, winner, p1, p2)."""
     t0 = time.perf_counter()
     lo, hi = expected[0][0], expected[-1][0]
-    rows = make_table(family, lo, hi, opts(), fixed=fixed)
-    got = [(r.parameter, r.winner, r.p1_score, r.p2_score) for r in rows]
+    rows = iter_table(family, lo, hi, opts(), fixed=fixed)
+    got = [(spec.params[0], gv.winner, gv.p1_score, gv.p2_score) for spec, gv in rows]
     elapsed = time.perf_counter() - t0
     print(f"{family} {lo}..{hi}: {elapsed:.2f}s")
     assert got == expected

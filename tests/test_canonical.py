@@ -11,9 +11,6 @@ from strings_and_coins.canonical import (
     KeyLimitError,
     are_isomorphic,
     canonical_key,
-    color_refine,
-    combine_component_keys,
-    graph_from_key,
     unpack_key,
 )
 from strings_and_coins import canonical
@@ -22,34 +19,46 @@ from strings_and_coins.families import make
 import support
 
 
-def cells(partition):
-    return sorted(sorted(c) for c in partition)
+def refined_cells(g, colors=None):
+    """Cells of ``canonical._refine`` as sorted vertex lists, in colour
+    order.  ``colors`` is a dense colouring of ``g.vertices``; by default
+    the (degree, loops) ranks that ``_canon_search`` starts from."""
+    verts = g.vertices
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [{} for _ in verts]
+    for ref, m in g.edge_pairs():
+        if not ref.is_loop:
+            adj[idx[ref.u]][idx[ref.v]] = m
+            adj[idx[ref.v]][idx[ref.u]] = m
+    if colors is None:
+        init = [(g.incident_count(v), g.loop_multiplicity(v)) for v in verts]
+        rank = {s: r for r, s in enumerate(sorted(set(init)))}
+        colors = [rank[s] for s in init]
+    cells = {}
+    for v, c in zip(verts, canonical._refine(len(verts), adj, colors)):
+        cells.setdefault(c, []).append(v)
+    return [cells[c] for c in sorted(cells)]
 
 
 def test_refine_vertex_transitive_cycle():
-    p = color_refine(make("cycle", 6))
-    assert len(p) == 1
-    assert sorted(p[0]) == list(range(6))
+    assert refined_cells(make("cycle", 6)) == [list(range(6))]
 
 
 def test_refine_star_splits_center():
-    p = color_refine(make("complete_bipartite", 1, 4))
+    p = refined_cells(make("complete_bipartite", 1, 4))
     assert sorted(len(c) for c in p) == [1, 4]
 
 
 def test_refine_balloon_path_splits_ends_from_middle():
-    g = make("balloon_path", 3)
-    p = color_refine(g)
-    split = cells(p)
+    split = refined_cells(make("balloon_path", 3))
     assert [0, 2] in split and [1] in split
 
 
 def test_refine_respects_input_partition():
-    g = make("cycle", 4)
-    p = color_refine(g, [[0], [1, 2, 3]])
-    # individualizing one cycle vertex separates its neighbors from its
-    # antipode
-    assert cells(p) == [[0], [1, 3], [2]]
+    # vertex 0 individualised the way ``_canon_search`` does it: it keeps
+    # colour 0 and the rest of its cell moves up to colour 1; that
+    # separates its neighbours from its antipode
+    assert refined_cells(make("cycle", 4), [0, 1, 1, 1]) == [[0], [1, 3], [2]]
 
 
 def test_key_invariant_under_relabeling():
@@ -174,7 +183,7 @@ def _split_by_search(g):
     """Components found by graph search, each as (size, sorted triples
     over the ranks of its vertices): what the one-pass split must return."""
     out = []
-    for comp in g.components():
+    for comp in support.components(g):
         rank = {v: i for i, v in enumerate(comp)}
         triples = sorted((rank[a], rank[b], m) for (a, b), m in g._mult.items() if a in rank)
         out.append((len(comp), tuple(triples)))
@@ -239,8 +248,9 @@ def test_union_key_matches_combined_component_keys():
         g1 = support.random_graph(rng, max_vertices=5, max_edges=6)
         g2 = support.random_graph(rng, max_vertices=5, max_edges=6)
         union = g1.disjoint_union(g2)
-        combined = combine_component_keys([canonical_key(g1), canonical_key(g2)])
-        assert canonical_key(union) == combined
+        # the union rebuilt from its parts' keys alone keys the same
+        parts = [support.graph_from_key(canonical_key(g)) for g in (g1, g2)]
+        assert canonical_key(union) == canonical_key(parts[0].disjoint_union(parts[1]))
 
 
 def test_key_layout_is_little_endian_triples():
@@ -259,7 +269,7 @@ def test_key_round_trips_through_graph():
     for _ in range(60):
         g = support.random_graph(rng, max_vertices=7, max_edges=9)
         key = canonical_key(g)
-        back = graph_from_key(key)
+        back = support.graph_from_key(key)
         assert canonical_key(back) == key
         assert are_isomorphic(back, g)
 

@@ -266,3 +266,24 @@ def test_no_memo_ignores_the_cache(tmp_path):
     assert code == 0
     assert [(r["nodes"], r["memo_hits"]) for r in json_rows(out)] == [(13, 0), (21, 0)]
     assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--family", "complete", "9"),
+        ("bestmove", "--family", "complete", "9"),
+        ("table", "--family", "complete", "--from", "9", "--to", "9"),
+    ],
+    ids=["solve", "bestmove", "table"],
+)
+def test_budget_abort_keeps_proven_values(tmp_path, argv):
+    # values proven before the abort are appended to the cache on every
+    # command; K9 takes minutes, so the budget always runs out
+    cache = str(tmp_path / "values.snc")
+    code, _, err = invoke(*argv, "--time-budget", "0.5", "--cache", cache)
+    assert code == 3
+    assert "aborted" in err
+    loaded = load_cache(cache)
+    assert loaded.entries and not loaded.skipped
+    assert f"appended {len(loaded.entries)} record(s)" in err

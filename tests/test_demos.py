@@ -1,9 +1,12 @@
 """The quick demos run to completion against the current package API.
 
-The table and strategy demos take far longer and are left to be run by hand.
+The table and strategy demos take far longer to run, so only their
+imports and definitions are checked here; their ``main`` is left to be
+run by hand.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 
@@ -25,3 +28,10 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("demo", ["reproduce_tables.py", "verify_strategies.py"])
+def test_slow_demo_imports(demo):
+    # any run name but "__main__" loads the module without calling main()
+    ns = runpy.run_path(os.path.join(ROOT, "demos", demo), run_name="demo_import_check")
+    assert callable(ns["main"])

@@ -16,7 +16,7 @@ from strings_and_coins.solver import (
     ValueConsistencyError,
     _check_searchable,
     best_move,
-    make_table,
+    iter_table,
     scores_from_value,
     solve,
 )
@@ -151,30 +151,33 @@ def test_time_budget_abort():
         solve(make("complete", 9), SolveOptions(time_budget=0.05))
 
 
-def test_make_table_rows_and_shared_progress():
-    rows = make_table("friendship", 1, 3)
-    assert [(r.parameter, r.winner, r.p1_score, r.p2_score) for r in rows] == [
+def test_iter_table_rows_and_shared_progress():
+    rows = [(spec.params[0], gv) for spec, gv in iter_table("friendship", 1, 3)]
+    assert [(p, gv.winner, gv.p1_score, gv.p2_score) for p, gv in rows] == [
         (1, "P2", 0, 3),
         (2, "P1", 3, 2),
         (3, "P2", 2, 5),
     ]
-    assert all(rows[i].parameter < rows[i + 1].parameter for i in range(len(rows) - 1))
+    assert all(rows[i][0] < rows[i + 1][0] for i in range(len(rows) - 1))
 
 
-def test_make_table_fixed_parameters():
-    rows = make_table("complete_bipartite", 1, 3, fixed=(2,))
+def test_iter_table_fixed_parameters():
+    rows = list(iter_table("complete_bipartite", 1, 3, fixed=(2,)))
     # varies the first slot: K(1,2), K(2,2), K(3,2)
-    assert [r.p1_score + r.p2_score for r in rows] == [3, 4, 5]
+    assert [spec.params for spec, _ in rows] == [(1, 2), (2, 2), (3, 2)]
+    assert [gv.p1_score + gv.p2_score for _, gv in rows] == [3, 4, 5]
 
 
-def test_make_table_abort_keeps_completed_rows():
+def test_iter_table_abort_keeps_completed_rows():
+    rows = []
     with pytest.raises(SolveBudgetExceeded) as exc:
-        make_table("complete", 2, 10, SolveOptions(time_budget=0.5))
+        for spec, gv in iter_table("complete", 2, 10, SolveOptions(time_budget=0.5)):
+            rows.append((spec.params[0], gv))
     err = exc.value
     assert err.parameter is not None and err.parameter >= 3
-    assert [r.parameter for r in err.completed] == list(range(2, err.parameter))
-    for row in err.completed:
-        assert row.p1_score + row.p2_score == row.parameter
+    assert [p for p, _ in rows] == list(range(2, err.parameter))
+    for p, gv in rows:
+        assert gv.p1_score + gv.p2_score == p
 
 
 def test_best_move_forced_and_examples():

@@ -125,19 +125,19 @@ def test_mirror_takes_offered_capture_before_twin():
     state = pol.observe(state, g, False, (0, 1), out)
     g = out.successor
     answer = pol.choose(state, g)
-    assert g.capture_count((answer.u, answer.v)) > 0
+    assert g.remove_edge(answer).captured > 0
 
 
 def test_mirror_capture_choice_matches_a_capture_count_scan():
-    # the policy's capture pick equals a plain scan of capture_count over
-    # the sorted classes: a queued twin first, else the least capture
+    # the policy's capture pick equals a plain scan of the capture counts
+    # of the sorted classes: a queued twin first, else the least capture
     rng = random.Random(4242)
     pol = PairedMirrorPolicy({})
     for _ in range(300):
         g = support.random_graph(rng, max_vertices=7, max_edges=10)
         classes = sorted(g._mult)
         state = tuple(rng.sample(classes, rng.randint(0, len(classes))))
-        captures = [p for p in classes if g.capture_count(p) > 0]
+        captures = [p for p in classes if g.remove_edge(p).captured > 0]
         if captures:
             queued = [p for p in state if p in captures]
             assert tuple(pol.choose(state, g)) == (queued or captures)[0], (g.signature(), state)
