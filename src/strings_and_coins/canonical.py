@@ -263,24 +263,21 @@ def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
     return [(size, tuple(bucket)) for size, bucket in zip(sizes, buckets)]
 
 
-def _check_key_limits(vertices: int, multiplicity: int) -> None:
+def check_key_limits(g: LoopyMultigraph) -> None:
+    """Raise ``KeyLimitError`` when ``g`` does not fit the key layout."""
+    vertices = g.vertex_count
     if vertices > _U16_MAX:
         raise KeyLimitError(f"position has {vertices} vertices; canonical keys hold at most {_U16_MAX}")
+    multiplicity = max((m for _, _, m in g._sig), default=0)
     if multiplicity > _U16_MAX:
         raise KeyLimitError(
             f"a string has multiplicity {multiplicity}; canonical keys hold at most {_U16_MAX}"
         )
 
 
-def check_key_limits(g: LoopyMultigraph) -> None:
-    """Raise ``KeyLimitError`` when ``g`` does not fit the key layout."""
-    _check_key_limits(g.vertex_count, max(g._mult.values(), default=0))
-
-
 def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     forms = sorted(forms)
     total = sum(n for n, _ in forms)
-    _check_key_limits(total, 0)
     # each form's triples are sorted and its shifted labels lie above every
     # earlier form's, so the concatenation is already sorted
     fields = [total]

@@ -54,23 +54,32 @@ class MoveOutcome(NamedTuple):
 class LoopyMultigraph:
     """Immutable loopy multigraph with O(1) incident counts.
 
-    Internally an edge-class map ``{(u, v): multiplicity}`` with u <= v
-    (loops stored as (v, v)) and an incident-count map ``{vertex: count}``.
-    A loop contributes exactly one to its vertex's incident count per
-    instance; a vertex is captured when its incident count reaches zero.
-    Vertices exist only while incident to something: isolated vertices are
-    impossible by construction.
+    Internally the signature, the sorted tuple of ``(u, v, multiplicity)``
+    triples with u <= v (a loop is (v, v, m)), and an incident-count map
+    ``{vertex: count}``.  A loop contributes exactly one to its vertex's
+    incident count per instance; a vertex is captured when its incident
+    count reaches zero.  Vertices exist only while incident to something:
+    isolated vertices are impossible by construction.
     """
 
-    __slots__ = ("_mult", "_incident", "_edge_count", "_sig")
+    __slots__ = ("_sig", "_incident", "_edge_count")
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
-        self._mult: dict[tuple[int, int], int] = {}
-        self._incident: dict[int, int] = {}
-        self._edge_count = 0
-        self._sig: tuple | None = None
+        mult: dict[tuple[int, int], int] = {}
+        inc: dict[int, int] = {}
         for a, b in edges:
-            self._add_in_place(a, b)
+            if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
+                raise PositionError(f"vertex ids must be non-negative integers, got ({a}, {b})")
+            if a > b:
+                a, b = b, a
+            mult[(a, b)] = mult.get((a, b), 0) + 1
+            # a loop adds one instance to its vertex, a plain edge one to each end
+            inc[a] = inc.get(a, 0) + 1
+            if a != b:
+                inc[b] = inc.get(b, 0) + 1
+        self._sig: tuple = tuple(sorted((a, b, m) for (a, b), m in mult.items()))
+        self._incident = inc
+        self._edge_count = sum(mult.values())
 
     @classmethod
     def empty(cls) -> "LoopyMultigraph":
@@ -79,18 +88,6 @@ class LoopyMultigraph:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "LoopyMultigraph":
         return cls(edges)
-
-    def _add_in_place(self, a: int, b: int) -> None:
-        if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
-            raise PositionError(f"vertex ids must be non-negative integers, got ({a}, {b})")
-        if a > b:
-            a, b = b, a
-        self._mult[(a, b)] = self._mult.get((a, b), 0) + 1
-        # a loop adds one instance to its vertex, a plain edge one to each end
-        self._incident[a] = self._incident.get(a, 0) + 1
-        if a != b:
-            self._incident[b] = self._incident.get(b, 0) + 1
-        self._edge_count += 1
 
     # -- queries ---------------------------------------------------------
 
@@ -111,68 +108,70 @@ class LoopyMultigraph:
         """Edge instances at ``v``; each loop instance counts exactly once."""
         return self._incident.get(v, 0)
 
+    def _find(self, a: int, b: int) -> int:
+        """Index in the signature of class (a, b), a <= b, or -1 if absent."""
+        sig = self._sig
+        i = bisect_left(sig, (a, b))
+        if i < len(sig):
+            t = sig[i]
+            if t[0] == a and t[1] == b:
+                return i
+        return -1
+
     def multiplicity(self, a: int, b: int) -> int:
         if a > b:
             a, b = b, a
-        return self._mult.get((a, b), 0)
+        i = self._find(a, b)
+        return self._sig[i][2] if i >= 0 else 0
 
     def loop_multiplicity(self, v: int) -> int:
-        return self._mult.get((v, v), 0)
+        return self.multiplicity(v, v)
 
     def edge_pairs(self) -> Iterator[tuple[EdgeRef, int]]:
         """Distinct edge classes with multiplicities, in sorted order."""
-        for (a, b) in sorted(self._mult):
-            yield EdgeRef(a, b), self._mult[(a, b)]
+        for a, b, m in self._sig:
+            yield EdgeRef(a, b), m
 
     def signature(self) -> tuple:
         """Sorted (u, v, multiplicity) triples; equal iff same labeled graph."""
-        if self._sig is None:
-            self._sig = tuple(sorted((a, b, m) for (a, b), m in self._mult.items()))
         return self._sig
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoopyMultigraph):
             return NotImplemented
-        return self.signature() == other.signature()
+        return self._sig == other._sig
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        return hash(self._sig)
 
     def __repr__(self) -> str:
         parts = []
-        for (a, b), m in sorted(self._mult.items()):
+        for a, b, m in self._sig:
             s = f"{a}-{b}" if a != b else f"loop@{a}"
             parts.append(s if m == 1 else f"{s}x{m}")
         return f"LoopyMultigraph({', '.join(parts)})" if parts else "LoopyMultigraph(empty)"
 
     # -- mutations (return new graphs) -----------------------------------
 
+    def _instances(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, b, m in self._sig for _ in range(m)]
+
     def add_edge(self, a: int, b: int) -> "LoopyMultigraph":
-        g = self._clone()
-        g._add_in_place(a, b)
-        return g
+        return LoopyMultigraph(self._instances() + [(a, b)])
 
     def _child(self, a: int, b: int) -> tuple[int, "LoopyMultigraph"]:
         """Fast path for remove_edge: returns (captured, successor).
 
         Assumes a <= b.  Search code calls this directly to skip the
-        NamedTuple wrapper.  When this position's signature is known, the
-        successor's is derived from it: the (a, b) triple is found by
-        bisection and dropped or given one less multiplicity, so nothing
-        is sorted again.
+        NamedTuple wrapper.  The successor's signature is this one with
+        the (a, b) triple dropped or given one less multiplicity, so
+        nothing is sorted again.
         """
-        mult = dict(self._mult)
-        m = mult.get((a, b))
-        if m is None:
+        i = self._find(a, b)
+        if i < 0:
             raise PositionError(f"no edge {(a, b)} in position")
-        if m == 1:
-            del mult[(a, b)]
-        else:
-            mult[(a, b)] = m - 1
         sig = self._sig
-        if sig is not None:
-            i = bisect_left(sig, (a, b))
-            sig = sig[:i] + (((a, b, m - 1),) if m > 1 else ()) + sig[i + 1 :]
+        m = sig[i][2]
         inc = dict(self._incident)
         captured = 0
         n = inc[a] - 1
@@ -189,10 +188,9 @@ class LoopyMultigraph:
                 del inc[b]
                 captured += 1
         g = LoopyMultigraph.__new__(LoopyMultigraph)
-        g._mult = mult
+        g._sig = sig[:i] + (((a, b, m - 1),) if m > 1 else ()) + sig[i + 1 :]
         g._incident = inc
         g._edge_count = self._edge_count - 1
-        g._sig = sig
         return captured, g
 
     def remove_edge(self, e: tuple[int, int]) -> MoveOutcome:
@@ -210,7 +208,7 @@ class LoopyMultigraph:
     def distinct_moves(self) -> list[EdgeRef]:
         """Available move classes, sorted; parallel edge instances collapse
         to one entry."""
-        return [EdgeRef(a, b) for (a, b) in sorted(self._mult)]
+        return [EdgeRef(a, b) for a, b, _ in self._sig]
 
     def disjoint_union(self, other: "LoopyMultigraph") -> "LoopyMultigraph":
         """Combine two positions on disjoint vertex sets.
@@ -220,19 +218,8 @@ class LoopyMultigraph:
         """
         base = max(self._incident, default=-1) + 1
         relabel = {v: base + i for i, v in enumerate(sorted(other._incident))}
-        g = self._clone()
-        for (a, b), m in sorted(other._mult.items()):
-            for _ in range(m):
-                g._add_in_place(relabel[a], relabel[b])
-        return g
-
-    def _clone(self) -> "LoopyMultigraph":
-        g = LoopyMultigraph.__new__(LoopyMultigraph)
-        g._mult = dict(self._mult)
-        g._incident = dict(self._incident)
-        g._edge_count = self._edge_count
-        g._sig = None
-        return g
+        moved = [(relabel[a], relabel[b]) for a, b in other._instances()]
+        return LoopyMultigraph(self._instances() + moved)
 
     # -- structure helpers ------------------------------------------------
 
@@ -246,7 +233,7 @@ class LoopyMultigraph:
                 x = parent[x]
             return x
 
-        for (a, b), m in self._mult.items():
+        for a, b, m in self._sig:
             if a == b or m > 1:
                 return False
             ra, rb = find(a), find(b)

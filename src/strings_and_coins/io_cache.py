@@ -73,7 +73,11 @@ def parse_edge_list(text: str) -> LoopyMultigraph:
 
 def read_edge_list(path: str) -> LoopyMultigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: LoopyMultigraph, path: str) -> None:

@@ -90,15 +90,15 @@ def _check_searchable(g: LoopyMultigraph) -> None:
 
 
 class TranspositionTable:
-    """Canonical key -> (flag, value) store with optional LRU eviction.
+    """Canonical key -> (flag, value) store.
 
     Entries loaded from a persistent cache are exact by construction and
-    are never evicted; ``fresh_exact_items`` yields only entries proven
-    during this table's lifetime, which is what gets persisted back.
+    kept apart; ``fresh_exact_items`` yields only entries proven during
+    this table's lifetime, in the order they were last stored: what gets
+    persisted back.
     """
 
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
+    def __init__(self):
         self._seed: dict[bytes, int] = {}
         self._store: dict[bytes, tuple[int, int]] = {}
 
@@ -115,21 +115,13 @@ class TranspositionTable:
         v = self._seed.get(key)
         if v is not None:
             return (EXACT, v)
-        hit = self._store.get(key)
-        if hit is not None and self.capacity is not None:
-            # refresh recency under LRU
-            del self._store[key]
-            self._store[key] = hit
-        return hit
+        return self._store.get(key)
 
     def put(self, key: bytes, flag: int, value: int) -> None:
         if key in self._seed:
             return
         if key in self._store:
             del self._store[key]
-        elif self.capacity is not None and len(self._store) >= self.capacity:
-            oldest = next(iter(self._store))
-            del self._store[oldest]
         self._store[key] = (flag, value)
 
     def fresh_exact_items(self) -> list[tuple[bytes, int]]:
@@ -142,7 +134,6 @@ class SolveOptions:
 
     pruning: bool = True
     memo: bool = True
-    memo_capacity: int | None = None
     table: TranspositionTable | None = None
     time_budget: float | None = None
 
@@ -187,7 +178,7 @@ class _Searcher:
     def __init__(self, opts: SolveOptions):
         self.opts = opts
         if opts.memo:
-            self.table = opts.table if opts.table is not None else TranspositionTable(opts.memo_capacity)
+            self.table = opts.table if opts.table is not None else TranspositionTable()
         else:
             self.table = None
         self.stats = SearchStats()
@@ -353,7 +344,7 @@ def iter_table(
 
     opts = opts or SolveOptions()
     if opts.table is None and opts.memo:
-        opts = replace(opts, table=TranspositionTable(opts.memo_capacity))
+        opts = replace(opts, table=TranspositionTable())
     for p in range(start, stop + 1):
         spec = parse_family(family, (p,) + fixed)
         try:

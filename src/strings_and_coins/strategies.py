@@ -92,10 +92,10 @@ class PairedMirrorPolicy:
     def _leaf_strip_move(self, g: LoopyMultigraph) -> EdgeRef:
         for v in g.vertices:
             if g.incident_count(v) == 1:
-                for (a, b) in sorted(g._mult):
+                for a, b, _ in g._sig:
                     if a == v or b == v:
                         return EdgeRef(a, b)
-        return EdgeRef(*min(g._mult))
+        return EdgeRef(*g._sig[0][:2])
 
     def choose(self, state: tuple, g: LoopyMultigraph) -> EdgeRef:
         if g.edge_count == 0:
@@ -107,7 +107,7 @@ class PairedMirrorPolicy:
             return self._leaf_strip_move(g)
         inc = g._incident
         # a class captures when one of its endpoints has nothing else left
-        captures = {p for p in g._mult if inc[p[0]] == 1 or inc[p[1]] == 1}
+        captures = {(a, b) for a, b, _ in g._sig if inc[a] == 1 or inc[b] == 1}
         if captures:
             for p in state:
                 if p in captures:
@@ -115,7 +115,7 @@ class PairedMirrorPolicy:
             return EdgeRef(*min(captures))
         if state:
             return EdgeRef(*state[0])
-        return EdgeRef(*min(g._mult))
+        return EdgeRef(*g._sig[0][:2])
 
     def observe(
         self,
@@ -155,7 +155,7 @@ def doubled_graph(base: LoopyMultigraph, anchor: int = 0) -> tuple[LoopyMultigra
     n = len(verts)
     edges: list[Pair] = []
     pairing: dict[Pair, Pair] = {}
-    for (a, b), m in base._mult.items():
+    for a, b, m in base._sig:
         pa = _norm(rank[a], rank[b])
         pb = _norm(rank[a] + n, rank[b] + n)
         edges.extend([pa] * m)

@@ -24,7 +24,7 @@ def brute_value(g: LoopyMultigraph) -> int:
     if g.edge_count == 0:
         return 0
     best = None
-    for (a, b), mult in sorted(g._mult.items()):
+    for a, b, mult in g.signature():
         # each instance of a parallel class is explored separately on purpose
         for _ in range(mult):
             out = g.remove_edge((a, b))
@@ -72,6 +72,17 @@ def random_graph(
     max_edges: int = 8,
     loop_chance: float = 0.2,
 ) -> LoopyMultigraph:
+    return LoopyMultigraph.from_edges(random_edges(rng, max_vertices, min_edges, max_edges, loop_chance))
+
+
+def random_edges(
+    rng: random.Random,
+    max_vertices: int = 8,
+    min_edges: int = 1,
+    max_edges: int = 8,
+    loop_chance: float = 0.2,
+) -> list[tuple[int, int]]:
+    """The edge instances ``random_graph`` builds its position from."""
     n = rng.randint(2, max_vertices)
     k = rng.randint(min_edges, max_edges)
     edges = []
@@ -84,7 +95,7 @@ def random_graph(
             while b == a:
                 b = rng.randrange(n)
             edges.append((a, b))
-    return LoopyMultigraph.from_edges(edges)
+    return edges
 
 
 def relabel(g: LoopyMultigraph, rng: random.Random) -> LoopyMultigraph:

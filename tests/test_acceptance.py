@@ -202,7 +202,7 @@ def test_criterion_09_hypercube_table():
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set SNC_STRETCH=1")
 def test_criterion_09_hypercube_q4_stretch():
-    gv = solve(make("hypercube", 4), SolveOptions(memo_capacity=1_000_000))
+    gv = solve(make("hypercube", 4))
     assert (gv.winner, gv.p1_score, gv.p2_score) == ("P2", 6, 10)
 
 

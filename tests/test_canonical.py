@@ -185,7 +185,7 @@ def _split_by_search(g):
     out = []
     for comp in support.components(g):
         rank = {v: i for i, v in enumerate(comp)}
-        triples = sorted((rank[a], rank[b], m) for (a, b), m in g._mult.items() if a in rank)
+        triples = sorted((rank[a], rank[b], m) for a, b, m in g.signature() if a in rank)
         out.append((len(comp), tuple(triples)))
     return out
 
@@ -202,20 +202,22 @@ def _walk_starts(rng):
 
 
 def test_derived_signature_fuzz():
-    """Walk by ``_child`` and ``remove_edge``, from positions with and
-    without a known signature; every successor must match the position
-    rebuilt from its edge list in signature, component split and key."""
+    """Walk by ``_child`` and ``remove_edge``, from derived positions and
+    from positions rebuilt from their edge list; every successor must
+    match the position rebuilt from its edge list in signature, component
+    split and key."""
     rng = random.Random(20261018)
     steps = 0
     for start in _walk_starts(rng) * 6:
-        g = start._clone()
-        if rng.random() < 0.5:
-            g.signature()
+        g = start
         while g.edge_count:
             moves = [ref for ref, _ in g.edge_pairs()]
             parallel = [ref for ref, m in g.edge_pairs() if m > 1]
             a, b = rng.choice(parallel if parallel and rng.random() < 0.5 else moves)
-            parent = g if rng.random() < 0.7 else g._clone()  # a clone's signature is unset
+            if rng.random() < 0.7:
+                parent = g
+            else:
+                parent = LoopyMultigraph.from_edges([e for e, m in g.edge_pairs() for _ in range(m)])
             if rng.random() < 0.5:
                 _, child = parent._child(a, b)
             else:

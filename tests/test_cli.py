@@ -91,6 +91,22 @@ def test_solve_edges_too_deep_exits_2(tmp_path):
     assert (row["p1"], row["p2"]) == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"0 1\n\xff 2\n", b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"],
+    ids=["bad-byte-in-line-2", "png-header"],
+)
+def test_solve_edges_not_utf8_exits_2(tmp_path, data):
+    pos = tmp_path / "pos.txt"
+    pos.write_bytes(data)
+    code, out, err = invoke("solve", "--edges", str(pos), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(pos) in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_edges_file():
     code, _, err = invoke("solve", "--edges", "/nonexistent/pos.txt")
     assert code == 2

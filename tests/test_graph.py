@@ -1,6 +1,7 @@
 """Position representation and move semantics."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -150,6 +151,39 @@ def test_incident_counts_match_recount_after_random_play():
                     recount[e.v] += mult
             for v in g.vertices:
                 assert g.incident_count(v) == recount[v]
+
+
+def test_class_lookups_match_a_count_of_the_instances():
+    """Lookups by endpoint pair agree with a count of the instances each
+    position was built from, for pairs before the first class, between
+    classes and past the last; removing an absent pair raises."""
+    rng = random.Random(20261019)
+    absent_seen = Counter()
+    for _ in range(200):
+        edges = support.random_edges(rng, max_vertices=7, max_edges=10, loop_chance=0.3)
+        # a few more instances of existing classes: parallel strings, stacked loops
+        edges += [e for e in edges if rng.random() < 0.4] * 2
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+        rng.shuffle(edges)
+        count = Counter((min(a, b), max(a, b)) for a, b in edges)
+        g = LoopyMultigraph.from_edges(edges)
+        classes = sorted(count)
+        top = max(b for _, b in classes) + 2
+        for a in range(top):
+            assert g.loop_multiplicity(a) == count[(a, a)]
+            for b in range(top):
+                assert g.multiplicity(a, b) == count[(min(a, b), max(a, b))], (classes, a, b)
+            for b in range(a, top):
+                if (a, b) in count:
+                    continue
+                where = "before" if (a, b) < classes[0] else "past" if (a, b) > classes[-1] else "between"
+                absent_seen[where] += 1
+                with pytest.raises(PositionError):
+                    g.remove_edge((b, a))
+        assert list(g.edge_pairs()) == [(EdgeRef(a, b), count[(a, b)]) for a, b in classes]
+        assert g.distinct_moves() == [EdgeRef(a, b) for a, b in classes]
+        assert g.edge_count == len(edges)
+    assert set(absent_seen) == {"before", "between", "past"}
 
 
 def test_signature_equality_and_hash():

@@ -1,6 +1,7 @@
 """Edge-list files and the persistent value cache."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -49,6 +50,13 @@ def test_edge_list_round_trip(tmp_path):
     back = read_edge_list(path)
     assert back == g
     assert canonical_key(back) == canonical_key(g)
+
+
+def test_read_edge_list_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "pos.txt"
+    path.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(EdgeListFormatError, match=re.escape(str(path))):
+        read_edge_list(str(path))
 
 
 def test_cache_round_trip(tmp_path):

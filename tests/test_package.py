@@ -5,7 +5,10 @@ or ``snc``; anything else belongs in the module that defines it or in the
 tests.
 """
 
+import dataclasses
+
 import strings_and_coins
+from strings_and_coins import SolveOptions
 
 PUBLIC = [
     "CacheFormatError",
@@ -63,6 +66,10 @@ def test_public_surface_is_pinned():
     assert PUBLIC == sorted(PUBLIC)
     assert len(strings_and_coins.__all__) == len(set(strings_and_coins.__all__))
     assert sorted(strings_and_coins.__all__) == PUBLIC
+
+
+def test_solve_options_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["pruning", "memo", "table", "time_budget"]
 
 
 def test_every_public_name_resolves():

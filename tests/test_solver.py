@@ -128,17 +128,8 @@ def test_memo_reuse_across_solves():
     assert warm.stats.nodes <= 1
 
 
-def test_memo_capacity_lru_still_exact():
-    unbounded = solve(make("ferris_wheel", 5)).differential
-    gv = solve(make("ferris_wheel", 5), SolveOptions(memo_capacity=64))
-    assert gv.differential == unbounded
-    table = TranspositionTable(capacity=32)
-    solve(make("ferris_wheel", 5), SolveOptions(table=table))
-    assert len(table) <= 32
-
-
 def test_seeded_entries_pin_and_survive():
-    table = TranspositionTable(capacity=8)
+    table = TranspositionTable()
     table.seed({b"\x01\x00" + b"\x00" * 6: 1})
     for i in range(50):
         table.put(bytes([i]), 0, 0)

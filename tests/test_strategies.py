@@ -135,7 +135,7 @@ def test_mirror_capture_choice_matches_a_capture_count_scan():
     pol = PairedMirrorPolicy({})
     for _ in range(300):
         g = support.random_graph(rng, max_vertices=7, max_edges=10)
-        classes = sorted(g._mult)
+        classes = [tuple(ref) for ref, _ in g.edge_pairs()]
         state = tuple(rng.sample(classes, rng.randint(0, len(classes))))
         captures = [p for p in classes if g.remove_edge(p).captured > 0]
         if captures:
