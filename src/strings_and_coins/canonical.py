@@ -18,6 +18,17 @@ that fix the individualized prefix pointwise.  Each node keeps those
 orbits as a union-find that only ever merges, reading each newly found
 automorphism once, as nauty and Traces do.
 
+A partition is ordered, and a vertex's colour is the first position of
+its cell, as in nauty: a split relabels only the members of the cell
+that split, and a discrete partition labels its vertices 0..n-1.
+Refinement runs in synchronous rounds, each splitting every cell by the
+neighbour colours of the round before, but it examines only the cells
+next to a part that the last round split off (McKay & Piperno,
+*Practical graph isomorphism II*, 2014; Junttila & Kaski, 2007).  Its
+partitions are those of recomputing every vertex's row every round, and
+every choice of the search reads only the order of the colours, so the
+keys are the same bytes as with the full recompute.
+
 Components are split off in one pass over the signature.  Component
 forms are combined by sorting them and relabeling into one vertex range,
 so a disjoint union's key is a pure function of the component keys; each
@@ -30,6 +41,7 @@ signature, and component forms by local triples.
 from __future__ import annotations
 
 import struct
+import time
 from functools import lru_cache
 from itertools import chain
 
@@ -56,30 +68,104 @@ def clear_caches() -> None:
 # -- color refinement --------------------------------------------------------
 
 
-def _refine(n: int, adj: list[dict[int, int]], colors: list[int]) -> list[int]:
-    """Iterate multiplicity-aware neighborhood hashing to a fixpoint.
+def _cells_by_key(keys: list) -> tuple[list[int], dict[int, list[int]]]:
+    """The ordered partition of ``range(len(keys))`` into cells of equal
+    key, cells in key order: (colour of each vertex, first position ->
+    ascending members), a colour being its cell's first position."""
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    cols = [0] * len(keys)
+    cells: dict[int, list[int]] = {}
+    pos = 0
+    for k in sorted(groups):
+        members = groups[k]
+        cells[pos] = members
+        for i in members:
+            cols[i] = pos
+        pos += len(members)
+    return cols, cells
 
-    Colors are dense ranks whose order is determined by sorted signatures,
-    so the resulting partition is canonical given the input coloring (which
-    must itself be dense ranks 0..k-1).  A vertex alone in its cell gets the
-    signature (color, ()) without building its neighbor row: its color
-    already ranks it uniquely, so the ranks are the same either way.
+
+def _touched_by(adj: list[dict[int, int]], cols: list[int], cells: dict[int, list[int]], active) -> dict:
+    """The members next to an ``active`` vertex, by the first position of
+    their cell, in cells with more than one member."""
+    touched: dict[int, set[int]] = {}
+    for a in active:
+        for j in adj[a]:
+            c = cols[j]
+            if len(cells[c]) > 1:
+                hit = touched.get(c)
+                if hit is None:
+                    touched[c] = {j}
+                else:
+                    hit.add(j)
+    return touched
+
+
+def _refine(adj: list[dict[int, int]], cols: list[int], cells: dict[int, list[int]], active=None) -> None:
+    """Refine the ordered partition ``cols``/``cells`` in place until it is
+    equitable.
+
+    Each round reads every vertex's sorted row of (colour, multiplicity)
+    over its neighbours under the colours of the round before, and splits
+    every cell by row at once, parts in row order; a part's colour is its
+    first position, so a split relabels only the members of the cell that
+    split.  A cell's members had equal rows a round earlier, so their rows
+    can differ only in neighbours inside parts that the last round split
+    off, and only in parts other than one largest part of each split,
+    which the old row and the other parts fix.  Those parts are the active
+    vertices.  A cell can split only if a member is next to an active
+    vertex; then rows are read for its touched members and for one
+    untouched member, which stands for all the others.  The partitions are
+    those of reading every row every round, so the colours keep their
+    order, and a discrete partition gets the same labels.
+
+    ``active`` holds the vertex just individualised in a partition that
+    was equitable before it; by default the partition is fresh, and the
+    first round reads every row.
     """
-    ncells = len(set(colors))
-    while True:
-        size = [0] * ncells
-        for c in colors:
-            size[c] += 1
-        sigs = [
-            (c, ()) if size[c] == 1 else (c, tuple(sorted([(colors[j], m) for j, m in adj[i].items()])))
-            for i, c in enumerate(colors)
-        ]
-        order = sorted(set(sigs))
-        if len(order) == ncells:
-            return colors
-        rank = {s: r for r, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        ncells = len(order)
+    if active is None:
+        touched: dict = {c: members for c, members in cells.items() if len(members) > 1}
+    else:
+        touched = _touched_by(adj, cols, cells, active)
+    while touched:
+        splits = []
+        for c, hit in touched.items():
+            members = cells[c]
+            if len(hit) == len(members):
+                rows = [tuple(sorted([(cols[j], m) for j, m in adj[i].items()])) for i in members]
+            else:
+                untouched = None
+                rows = []
+                for i in members:
+                    if i in hit:
+                        rows.append(tuple(sorted([(cols[j], m) for j, m in adj[i].items()])))
+                    else:
+                        if untouched is None:
+                            untouched = tuple(sorted([(cols[j], m) for j, m in adj[i].items()]))
+                        rows.append(untouched)
+            if rows.count(rows[0]) == len(rows):
+                continue
+            order = sorted(set(rows))
+            rank = {r: k for k, r in enumerate(order)}
+            parts: list[list[int]] = [[] for _ in order]
+            for i, r in zip(members, rows):
+                parts[rank[r]].append(i)
+            splits.append((c, parts))
+        active = []
+        for c, parts in splits:
+            big = max(parts, key=len)
+            pos = c
+            for part in parts:
+                cells[pos] = part
+                if pos != c:
+                    for i in part:
+                        cols[i] = pos
+                if part is not big:
+                    active.extend(part)
+                pos += len(part)
+        touched = _touched_by(adj, cols, cells, active)
 
 
 # -- per-component canonical search ------------------------------------------
@@ -99,8 +185,10 @@ def _serialize(n: int, adj: list[dict[int, int]], loops: list[int], label: list[
     return tuple(out)
 
 
-def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
-    """Lex-least serialization of one connected component (local labels 0..n-1)."""
+def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: float | None = None) -> tuple:
+    """Lex-least serialization of one connected component (local labels
+    0..n-1).  Raises ``SolveBudgetExceeded`` once ``time.monotonic()``
+    passes ``deadline``, when one is given."""
     if n == 1:
         return triples  # a single vertex carries only loops, already canonical
     adj: list[dict[int, int]] = [{} for _ in range(n)]
@@ -111,10 +199,8 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
         else:
             adj[a][b] = m
             adj[b][a] = m
-    init = [(sum(adj[i].values()) + loops[i], loops[i]) for i in range(n)]
-    order = sorted(set(init))
-    rank = {s: r for r, s in enumerate(order)}
-    colors = _refine(n, adj, [rank[s] for s in init])
+    cols, cells = _cells_by_key([(sum(adj[i].values()) + loops[i], loops[i]) for i in range(n)])
+    _refine(adj, cols, cells)
 
     best_serial: list = [None]
     inv_best: list = [None]
@@ -122,13 +208,18 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
     # its moved (vertex, image) pairs)
     autos: list[tuple[int, list[tuple[int, int]]]] = []
 
-    def individualize(cols: list[int], v: int) -> list[int]:
-        # v's cell has other members, so v keeps its color and every color
-        # from v's cell up shifts by one: the dense ranks of (color, v-or-not)
-        cv = cols[v]
-        new = [c if c < cv else c + 1 for c in cols]
-        new[v] = cv
-        return _refine(n, adj, new)
+    def individualize(cols: list[int], cells: dict[int, list[int]], v: int):
+        # v takes its cell's first position and its cell-mates the next one
+        c = cols[v]
+        cols = cols[:]
+        cells = dict(cells)
+        rest = [i for i in cells[c] if i != v]
+        cells[c] = [v]
+        cells[c + 1] = rest
+        for i in rest:
+            cols[i] = c + 1
+        _refine(adj, cols, cells, [v])
+        return cols, cells
 
     def at_leaf(cols: list[int]) -> None:
         serial = _serialize(n, adj, loops, cols)
@@ -152,19 +243,19 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
             x = parent[x]
         return x
 
-    def rec(cols: list[int], prefix: int) -> None:
+    def rec(cols: list[int], cells: dict[int, list[int]], prefix: int) -> None:
         """Search below the node whose individualized vertices form the
-        bitmask ``prefix``; ``cols`` is its equitable coloring."""
-        ncells = max(cols) + 1
-        if ncells == n:
+        bitmask ``prefix``; ``cols``/``cells`` is its equitable partition."""
+        if deadline is not None and time.monotonic() > deadline:
+            from .solver import SolveBudgetExceeded  # solver imports this module
+
+            raise SolveBudgetExceeded("time budget exceeded while keying")
+        if len(cells) == n:
             at_leaf(cols)
             return
-        size = [0] * ncells
-        for c in cols:
-            size[c] += 1
-        # first largest non-singleton cell: max size, ties to lowest color
-        target = max(range(ncells), key=size.__getitem__)
-        members = [i for i, c in enumerate(cols) if c == target]
+        # first largest non-singleton cell: max size, ties to lowest colour
+        target = min(cells, key=lambda c: (-len(cells[c]), c))
+        members = cells[target]
         # Orbits of the automorphisms found so far that fix ``prefix``
         # pointwise, as a union-find that only ever merges: ``parent`` is
         # made on first use and ``seen`` counts the entries of ``autos``
@@ -189,17 +280,17 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...]) -> tuple:
                 if any(find(parent, w) == rv for w in tried):
                     continue
             tried.append(v)
-            rec(individualize(cols, v), prefix | 1 << v)
+            rec(*individualize(cols, cells, v), prefix | 1 << v)
 
-    rec(colors, 0)
+    rec(cols, cells, 0)
     return best_serial[0]
 
 
-def _component_form(n: int, triples: tuple) -> tuple[int, tuple]:
+def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple[int, tuple]:
     key = (n, triples)
     r = _comp_cache.get(key)
     if r is None:
-        r = _canon_search(n, triples)
+        r = _canon_search(n, triples, deadline)
         if len(_comp_cache) >= _COMP_CACHE_CAP:
             _comp_cache.clear()
         _comp_cache[key] = r
@@ -291,19 +382,21 @@ def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     return key_fields(2 * len(fields)).pack(*fields)
 
 
-def canonical_key(g: LoopyMultigraph) -> bytes:
+def canonical_key(g: LoopyMultigraph, deadline: float | None = None) -> bytes:
     """Byte key equal for isomorphic positions, distinct otherwise.
 
     Layout: little-endian u16 vertex count, then sorted (u16 u, u16 v,
     u16 multiplicity) triples over canonical labels; loops appear as
     (v, v, multiplicity).  Raises ``KeyLimitError`` when the vertex count
-    or a multiplicity does not fit in a u16 field.
+    or a multiplicity does not fit in a u16 field, and
+    ``solver.SolveBudgetExceeded`` when the key is not found before
+    ``time.monotonic()`` passes ``deadline``, if one is given.
     """
     sig = g.signature()
     key = _graph_cache.get(sig)
     if key is None:
         check_key_limits(g)
-        forms = [_component_form(n, t) for n, t in _component_local_triples(g)]
+        forms = [_component_form(n, t, deadline) for n, t in _component_local_triples(g)]
         key = _combine_forms(forms)
         if len(_graph_cache) >= _GRAPH_CACHE_CAP:
             _graph_cache.clear()

@@ -182,18 +182,11 @@ class _Searcher:
         else:
             self.table = None
         self.stats = SearchStats()
-        self._deadline: float | None = None
-        self._tick = 0
+        self.deadline: float | None = None
 
     def start_clock(self) -> None:
         if self.opts.time_budget is not None:
-            self._deadline = time.monotonic() + self.opts.time_budget
-
-    def _check_budget(self) -> None:
-        self._tick += 1
-        if self._deadline is not None and self._tick % 1024 == 0:
-            if time.monotonic() > self._deadline:
-                raise SolveBudgetExceeded(f"time budget {self.opts.time_budget}s exceeded")
+            self.deadline = time.monotonic() + self.opts.time_budget
 
     def _move_order(self, g: LoopyMultigraph) -> list:
         """Moves as (a, b, ...) tuples, most captures first, ties in sorted
@@ -206,7 +199,9 @@ class _Searcher:
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         if g.edge_count == 0:
             return 0
-        self._check_budget()
+        deadline = self.deadline
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveBudgetExceeded(f"time budget {self.opts.time_budget}s exceeded")
         r = g.vertex_count
         pruning = self.opts.pruning
         if pruning:
@@ -221,7 +216,7 @@ class _Searcher:
             a, b = -r, r
         table = self.table
         if table is not None:
-            key = canonical.canonical_key(g)
+            key = canonical.canonical_key(g, deadline)
             hit = table.get(key)
             if hit is not None:
                 flag, v = hit
@@ -316,7 +311,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
             v = captured + searcher.search(succ, -n, n)
         else:
             v = -searcher.search(succ, -n, n)
-        key = canonical.canonical_key(succ)
+        key = canonical.canonical_key(succ, searcher.deadline)
         if best_v is None or v > best_v or (v == best_v and key < best_key):
             best_v, best_ref, best_key = v, ref, key
     searcher.stats.elapsed = time.perf_counter() - t0

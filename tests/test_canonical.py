@@ -22,7 +22,8 @@ import support
 def refined_cells(g, colors=None):
     """Cells of ``canonical._refine`` as sorted vertex lists, in colour
     order.  ``colors`` is a dense colouring of ``g.vertices``; by default
-    the (degree, loops) ranks that ``_canon_search`` starts from."""
+    the (degree, loops) ranks that ``_canon_search`` starts from, refined
+    as a fresh partition."""
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
     adj = [{} for _ in verts]
@@ -31,13 +32,11 @@ def refined_cells(g, colors=None):
             adj[idx[ref.u]][idx[ref.v]] = m
             adj[idx[ref.v]][idx[ref.u]] = m
     if colors is None:
-        init = [(g.incident_count(v), g.loop_multiplicity(v)) for v in verts]
-        rank = {s: r for r, s in enumerate(sorted(set(init)))}
-        colors = [rank[s] for s in init]
-    cells = {}
-    for v, c in zip(verts, canonical._refine(len(verts), adj, colors)):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        colors = [(g.incident_count(v), g.loop_multiplicity(v)) for v in verts]
+    cols, cells = canonical._cells_by_key(colors)
+    canonical._refine(adj, cols, cells)
+    assert all(cols[i] == c for c, members in cells.items() for i in members)
+    return [[verts[i] for i in cells[c]] for c in sorted(cells)]
 
 
 def test_refine_vertex_transitive_cycle():
@@ -59,6 +58,33 @@ def test_refine_respects_input_partition():
     # colour 0 and the rest of its cell moves up to colour 1; that
     # separates its neighbours from its antipode
     assert refined_cells(make("cycle", 4), [0, 1, 1, 1]) == [[0], [1, 3], [2]]
+
+
+def test_refine_reads_only_rows_a_split_can_reach():
+    # a spider: centre 0, middles 1-3, tips 4-6, equitable with cells
+    # tips, middles, centre; tip 4 then individualised in front of 5 and 6
+    counts = {"scans": 0, "rows": 0}
+
+    class Row(dict):
+        def __iter__(self):
+            counts["scans"] += 1
+            return super().__iter__()
+
+        def items(self):
+            counts["rows"] += 1
+            return super().items()
+
+    adj = [Row() for _ in range(7)]
+    for a, b in [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]:
+        adj[a][b] = adj[b][a] = 1
+    cols, cells = canonical._cells_by_key([(len(adj[v]), v != 4) for v in range(7)])
+    canonical._refine(adj, cols, cells, [4])
+    assert [cells[c] for c in sorted(cells)] == [[4], [5, 6], [1], [2, 3], [0]]
+    # round 1 scans tip 4 and builds the rows of middle 1, which it
+    # touches, and of middle 2, standing for the untouched middles; round
+    # 2 scans middle 1, the smaller part of the split, and finds no cell
+    # left to split (rebuilding every row would read 9)
+    assert counts == {"scans": 2, "rows": 2}
 
 
 def test_key_invariant_under_relabeling():
@@ -132,6 +158,10 @@ def test_permutation_stability_fuzz():
         make("generalized_loopy_star", 4, 2),
         make("wheel", 7),
         make("complete", 6),
+        make("friendship", 8),
+        make("pinwheel", 6),
+        make("complete_bipartite", 2, 6),
+        make("loopy_star", 10),
     ]
     extra = [support.random_graph(rng, max_vertices=8, max_edges=10) for _ in range(13)]
     total = 0

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from strings_and_coins.claims import ClaimReport
 from strings_and_coins.cli import CACHE_ENV, run
 from strings_and_coins.families import make
 from strings_and_coins.io_cache import load_cache, save_cache
-from strings_and_coins.canonical import canonical_key
+from strings_and_coins.canonical import canonical_key, clear_caches
 
 
 def invoke(*argv):
@@ -60,6 +61,20 @@ def test_solve_edges_file(tmp_path):
     (row,) = json_rows(out)
     assert (row["winner"], row["p1"], row["p2"]) == ("P1", 2, 0)
     assert row["family"] == "custom"
+
+
+def test_solve_edges_budget_covers_keying(tmp_path):
+    # K(2,16): 61 search nodes, but many seconds of keying its twins
+    pos = tmp_path / "pos.txt"
+    g = make("complete_bipartite", 2, 16)
+    pos.write_text("".join(f"{ref.u} {ref.v}\n" for ref, m in g.edge_pairs() for _ in range(m)))
+    clear_caches()
+    start = time.monotonic()
+    code, out, err = invoke("solve", "--edges", str(pos), "--time-budget", "0.5")
+    assert time.monotonic() - start < 2
+    assert code == 3
+    assert out == ""
+    assert err.startswith("aborted: time budget")
 
 
 def test_solve_edges_beyond_key_format_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 """Solver correctness: oracle agreement, option invariance, search plumbing."""
 
 import random
+import time
 
 import pytest
 
@@ -140,6 +141,17 @@ def test_seeded_entries_pin_and_survive():
 def test_time_budget_abort():
     with pytest.raises(SolveBudgetExceeded):
         solve(make("complete", 9), SolveOptions(time_budget=0.05))
+
+
+@pytest.mark.parametrize("search", [solve, best_move], ids=["solve", "best_move"])
+def test_time_budget_covers_keying(search):
+    # K(2,16) expands few nodes, but keying its twins alone takes many
+    # seconds: only a clock read inside the keying search can stop it
+    clear_caches()
+    start = time.monotonic()
+    with pytest.raises(SolveBudgetExceeded):
+        search(make("complete_bipartite", 2, 16), SolveOptions(time_budget=0.2))
+    assert time.monotonic() - start < 2
 
 
 def test_iter_table_rows_and_shared_progress():
