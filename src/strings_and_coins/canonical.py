@@ -9,14 +9,26 @@ refinement.  Color refinement (degree/multiplicity-aware, loops folded
 into the initial colors) partitions the vertices; while some cell has
 more than one vertex, the first largest such cell is split by trying each
 member in front, and the lexicographically least serialization over all
-resulting discrete labelings wins.  Automorphisms discovered along the
-way (two labelings with equal serializations) prune branches that can
-only repeat earlier work, which is what keeps highly symmetric graphs
-like complete graphs tractable: at a search node, a candidate is skipped
-when it shares an orbit with an already tried one under the automorphisms
-that fix the individualized prefix pointwise.  Each node keeps those
-orbits as a union-find that only ever merges, reading each newly found
-automorphism once, as nauty and Traces do.
+resulting discrete labelings wins.  Three rules skip branches that can
+only repeat earlier work, which is what keeps symmetric graphs tractable
+(``_canon_search`` gives the proofs):
+
+* at a search node, a candidate is skipped when it shares an orbit with
+  an already tried one under the found automorphisms (two labelings with
+  equal serializations) that fix the individualized prefix pointwise.
+  Each node keeps those orbits as a union-find that only ever merges,
+  reading each newly found automorphism once, as nauty and Traces do;
+  at most 64 automorphisms are stored;
+* a candidate is skipped when it is a twin of an already tried one:
+  twins have equal loops and equal multiplicities to every other vertex,
+  so swapping them is an automorphism that fixes the prefix.  This prunes
+  stars, K2,n, friendship petals and loopy-star leaves, whose symmetric
+  groups 64 stored automorphisms cannot;
+* when a leaf serializes exactly as the best one, the search jumps back
+  to the deepest node the two leaves' paths share, as nauty does: the
+  automorphism between them maps the rest of the current subtree onto
+  part of a finished one (McKay & Piperno, *Practical graph isomorphism
+  II*, 2014).
 
 A partition is ordered, and a vertex's colour is the first position of
 its cell, as in nauty: a split relabels only the members of the cell
@@ -185,10 +197,84 @@ def _serialize(n: int, adj: list[dict[int, int]], loops: list[int], label: list[
     return tuple(out)
 
 
+def _twin_roots(adj: list[dict[int, int]], cols: list[int], cells: dict[int, list[int]]) -> list[int]:
+    """The least vertex of each vertex's twin class, by vertex.
+
+    Twins have equal loops and equal multiplicities to every other vertex;
+    they may be joined to each other, as two petal coins of a friendship
+    graph are, or not, as the leaves of a star are.  Being twins is an
+    equivalence, and within a class every two members are joined by the
+    same multiplicity, so a class is either pairwise apart, with equal rows,
+    or pairwise joined, with rows equal but for each other.  Swapping two
+    twins is an automorphism, so twins share a cell of every equitable
+    partition that ``_refine`` computes from the graph alone, and the
+    members of a cell of ``cols``/``cells`` already have equal loops.
+    """
+    twin = list(range(len(cols)))
+    for members in cells.values():
+        if len(members) == 1:
+            continue
+        apart: dict[frozenset, int] = {}
+        for v in members:
+            if twin[v] != v:
+                continue  # joined to a lesser twin already
+            row = adj[v]
+            u = apart.setdefault(frozenset(row.items()), v)
+            if u != v:
+                twin[v] = u
+                continue
+            c = cols[v]
+            for w in row:
+                if (
+                    w > v
+                    and cols[w] == c
+                    and len(adj[w]) == len(row)
+                    and all(x == w or adj[w].get(x) == m for x, m in row.items())
+                ):
+                    twin[w] = v
+    return twin
+
+
 def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: float | None = None) -> tuple:
     """Lex-least serialization of one connected component (local labels
     0..n-1).  Raises ``SolveBudgetExceeded`` once ``time.monotonic()``
-    passes ``deadline``, when one is given."""
+    passes ``deadline``, when one is given.
+
+    The search is depth-first over the individualisation tree: a node is
+    the equitable partition reached by individualising the vertices on its
+    path, one per level, each from the first largest cell.  Three rules
+    skip subtrees whose leaves serialise exactly as leaves of subtrees
+    already searched, so the least serialisation never changes:
+
+    * **Orbit pruning.**  At a node, a vertex in the same orbit as an
+      already tried one, under the found automorphisms that fix the node's
+      path pointwise, is skipped: such an automorphism maps the tried
+      vertex's subtree onto the skipped one's.  At most 64 automorphisms
+      are stored, which bounds the memory of one search.
+    * **Twin pruning.**  At a node, a twin of an already tried vertex is
+      skipped (see ``_twin_roots``).  Swapping the two is an automorphism
+      and fixes the node's path pointwise, as neither twin is on it, so
+      the two vertices share an orbit of the path's stabiliser.  This
+      needs no stored automorphism, so it prunes the symmetric groups of
+      twins, which 64 stored automorphisms cannot.
+    * **Backjump on an automorphism.**  When a leaf serialises exactly as
+      the best leaf, the search returns straight to the deepest node the
+      two leaves' paths share, abandoning the rest of the current subtree.
+      Let g map this leaf's labelling onto the best one's.  The refinement,
+      the choice of target cell (by size, then colour) and the split of an
+      individualised vertex (it keeps its cell's first position as colour,
+      and so as its final label) read only the graph and the order of the
+      colours, so g maps each node on this leaf's path onto the node at the
+      same depth on the best leaf's path, and each individualised vertex
+      onto the one individualised there.  Above the deepest shared node
+      both paths individualise the same vertices, so g fixes them, and
+      below it g maps the subtree being searched onto a sibling subtree
+      that holds the best leaf.  The search entered that sibling first and
+      is done with it, so every leaf of the abandoned subtree repeats the
+      serialisation of a leaf of a subtree already accounted for.  The jump needs the
+      automorphism to exist, not to be stored, so it still works once the
+      store is full.
+    """
     if n == 1:
         return triples  # a single vertex carries only loops, already canonical
     adj: list[dict[int, int]] = [{} for _ in range(n)]
@@ -201,9 +287,12 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
             adj[b][a] = m
     cols, cells = _cells_by_key([(sum(adj[i].values()) + loops[i], loops[i]) for i in range(n)])
     _refine(adj, cols, cells)
+    twin = _twin_roots(adj, cols, cells) if len(cells) < n else []
 
-    best_serial: list = [None]
-    inv_best: list = [None]
+    best_serial: tuple | None = None
+    inv_best: list[int] = []
+    best_path: list[int] = []
+    path: list[int] = []  # the individualised vertices of the current node
     # automorphisms found so far, each as (bitmask of the vertices it moves,
     # its moved (vertex, image) pairs)
     autos: list[tuple[int, list[tuple[int, int]]]] = []
@@ -221,21 +310,29 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
         _refine(adj, cols, cells, [v])
         return cols, cells
 
-    def at_leaf(cols: list[int]) -> None:
+    def at_leaf(cols: list[int]) -> int | None:
+        """Score the leaf labelled by ``cols``; the depth to jump back to
+        when it repeats the best serialization, else None."""
+        nonlocal best_serial, inv_best, best_path
         serial = _serialize(n, adj, loops, cols)
-        bs = best_serial[0]
-        if bs is None or serial < bs:
-            best_serial[0] = serial
-            inv = [0] * n
+        if best_serial is None or serial < best_serial:
+            best_serial = serial
+            inv_best = [0] * n
             for i, c in enumerate(cols):
-                inv[c] = i
-            inv_best[0] = inv
-        elif serial == bs and len(autos) < 64:
-            inv = inv_best[0]
-            # maps this labeling onto best
-            pairs = [(i, inv[c]) for i, c in enumerate(cols) if inv[c] != i]
-            if pairs:
-                autos.append((sum(1 << i for i, _ in pairs), pairs))
+                inv_best[c] = i
+            best_path = path[:]
+            return None
+        if serial != best_serial:
+            return None
+        if len(autos) < 64:
+            # maps this labeling onto best; a different leaf always moves
+            # the vertex where the two paths part
+            pairs = [(i, inv_best[c]) for i, c in enumerate(cols) if inv_best[c] != i]
+            autos.append((sum(1 << i for i, _ in pairs), pairs))
+        shared = 0
+        while path[shared] == best_path[shared]:
+            shared += 1
+        return shared
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -243,16 +340,18 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
             x = parent[x]
         return x
 
-    def rec(cols: list[int], cells: dict[int, list[int]], prefix: int) -> None:
-        """Search below the node whose individualized vertices form the
-        bitmask ``prefix``; ``cols``/``cells`` is its equitable partition."""
+    def rec(cols: list[int], cells: dict[int, list[int]], prefix: int) -> int | None:
+        """Search below the node whose individualized vertices are ``path``
+        and form the bitmask ``prefix``; ``cols``/``cells`` is its
+        equitable partition.  Returns None once the subtree is searched,
+        or the depth of the node to jump back to."""
         if deadline is not None and time.monotonic() > deadline:
             from .solver import SolveBudgetExceeded  # solver imports this module
 
             raise SolveBudgetExceeded("time budget exceeded while keying")
         if len(cells) == n:
-            at_leaf(cols)
-            return
+            return at_leaf(cols)
+        depth = len(path)
         # first largest non-singleton cell: max size, ties to lowest colour
         target = min(cells, key=lambda c: (-len(cells[c]), c))
         members = cells[target]
@@ -263,7 +362,10 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
         parent: list[int] | None = None
         seen = 0
         tried: list[int] = []
+        tried_twins: set[int] = set()
         for v in members:
+            if twin[v] in tried_twins:
+                continue
             if seen < len(autos):
                 for moves, pairs in autos[seen:]:
                     if moves & prefix:
@@ -280,10 +382,16 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
                 if any(find(parent, w) == rv for w in tried):
                     continue
             tried.append(v)
-            rec(*individualize(cols, cells, v), prefix | 1 << v)
+            tried_twins.add(twin[v])
+            path.append(v)
+            back = rec(*individualize(cols, cells, v), prefix | 1 << v)
+            path.pop()
+            if back is not None and back < depth:
+                return back
+        return None
 
     rec(cols, cells, 0)
-    return best_serial[0]
+    return best_serial
 
 
 def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple[int, tuple]:

@@ -175,18 +175,14 @@ def _winner(differential: int) -> str:
 
 
 class _Searcher:
-    def __init__(self, opts: SolveOptions):
+    def __init__(self, opts: SolveOptions, deadline: float | None):
         self.opts = opts
         if opts.memo:
             self.table = opts.table if opts.table is not None else TranspositionTable()
         else:
             self.table = None
         self.stats = SearchStats()
-        self.deadline: float | None = None
-
-    def start_clock(self) -> None:
-        if self.opts.time_budget is not None:
-            self.deadline = time.monotonic() + self.opts.time_budget
+        self.deadline = deadline
 
     def _move_order(self, g: LoopyMultigraph) -> list:
         """Moves as (a, b, ...) tuples, most captures first, ties in sorted
@@ -276,10 +272,19 @@ def solve(g: LoopyMultigraph, opts: SolveOptions | None = None) -> GameValue:
     ``DepthLimitError`` for one too deep to search under the current
     recursion limit.
     """
-    _check_searchable(g)
     opts = opts or SolveOptions()
-    searcher = _Searcher(opts)
-    searcher.start_clock()
+    return _solve(g, opts, _deadline(opts))
+
+
+def _deadline(opts: SolveOptions) -> float | None:
+    """The ``time.monotonic()`` reading at which ``opts.time_budget``
+    runs out if the clock starts now, or None without a budget."""
+    return None if opts.time_budget is None else time.monotonic() + opts.time_budget
+
+
+def _solve(g: LoopyMultigraph, opts: SolveOptions, deadline: float | None) -> GameValue:
+    _check_searchable(g)
+    searcher = _Searcher(opts, deadline)
     t0 = time.perf_counter()
     n = g.vertex_count
     d = searcher.search(g, -n, n) if n else 0
@@ -298,8 +303,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
         raise EmptyPositionError("no moves: position has no edges")
     _check_searchable(g)
     opts = opts or SolveOptions()
-    searcher = _Searcher(opts)
-    searcher.start_clock()
+    searcher = _Searcher(opts, _deadline(opts))
     t0 = time.perf_counter()
     n = g.vertex_count
     best_v = None
@@ -332,18 +336,20 @@ def iter_table(
     The range varies the family's first parameter from ``start`` to
     ``stop`` inclusive; ``fixed`` supplies any remaining parameters.
     Positions recur across rows, so rows share a transposition table.
-    A budget abort raises ``SolveBudgetExceeded`` with ``parameter``
-    naming the row that did not finish.
+    ``opts.time_budget`` covers the whole range: each row gets the time
+    the rows before it left.  A budget abort raises ``SolveBudgetExceeded``
+    with ``parameter`` naming the row that did not finish.
     """
     from .families import generate, parse_family
 
     opts = opts or SolveOptions()
     if opts.table is None and opts.memo:
         opts = replace(opts, table=TranspositionTable())
+    deadline = _deadline(opts)
     for p in range(start, stop + 1):
         spec = parse_family(family, (p,) + fixed)
         try:
-            gv = solve(generate(spec), opts)
+            gv = _solve(generate(spec), opts, deadline)
         except SolveBudgetExceeded as exc:
             exc.parameter = p
             raise

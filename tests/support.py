@@ -98,6 +98,35 @@ def random_edges(
     return edges
 
 
+def multipede(m: int, seed: int) -> LoopyMultigraph:
+    """A graph that refinement cannot split, CFI-style (a multipede; see
+    Neuen & Schweitzer, *Benchmark graphs for practical graph
+    isomorphism*, 2017).
+
+    A random 3-regular bipartite graph joins parts V and W of size m.
+    Each w in W becomes a foot pair 2w, 2w + 1; each v in V becomes four
+    vertices, one per even subset S of its three neighbours w1 < w2 < w3,
+    joined to foot 2wi + [wi in S] of each.  Every foot has 6 strings and
+    every other vertex 3, and refinement splits no foot pair, so keying
+    branches on foot pairs.  ``multipede(40, 1)`` has no automorphism but
+    the identity, so nothing prunes: it keys through about 5,000 leaves.
+    """
+    rng = random.Random(seed)
+    while True:
+        nbrs: list[set[int]] = [set() for _ in range(m)]
+        for _ in range(3):
+            for v, w in enumerate(rng.sample(range(m), m)):
+                nbrs[v].add(w)
+        if all(len(ws) == 3 for ws in nbrs):
+            break
+    edges = []
+    for v, ws in enumerate(nbrs):
+        for k, subset in enumerate((0b000, 0b011, 0b101, 0b110)):
+            mid = 2 * m + 4 * v + k
+            edges += [(mid, 2 * w + (subset >> i & 1)) for i, w in enumerate(sorted(ws))]
+    return LoopyMultigraph.from_edges(edges)
+
+
 def relabel(g: LoopyMultigraph, rng: random.Random) -> LoopyMultigraph:
     """Rebuild g under a random injective renaming of its vertices."""
     verts = g.vertices

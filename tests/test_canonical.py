@@ -3,8 +3,11 @@
 import hashlib
 import random
 import struct
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strings_and_coins.graph import LoopyMultigraph
 from strings_and_coins.canonical import (
@@ -171,6 +174,146 @@ def test_permutation_stability_fuzz():
             assert canonical_key(support.relabel(base, rng)) == ref
             total += 1
     assert total >= 1000
+
+
+def twin_edges(hubs, groups, near=None):
+    """Edge instances of K_{hubs,n} whose n side falls into twin groups.
+
+    ``groups`` holds one (size, loops, extra, joined) per group: each
+    member gets ``loops`` loops, ``extra`` more strings to hub 0 and
+    ``joined`` strings to every other member, so a group is a twin class.
+    ``near`` makes the first two members of the first group near-twins:
+    "loop" gives the first one more loop, "string" one more string to hub
+    0, and "swap" one more string to hub 0 for the first and to hub 1 for
+    the second, so the two keep equal degrees and the same neighbours and
+    differ only in multiplicity (with no hub 1 or no second member, "swap"
+    is "string").
+    """
+    edges = []
+    leaf = hubs
+    for size, loops, extra, joined in groups:
+        members = range(leaf, leaf + size)
+        for x in members:
+            edges += [(h, x) for h in range(hubs)] + [(0, x)] * extra + [(x, x)] * loops
+            edges += [(x, y) for y in members if y > x] * joined
+        leaf += size
+    x = hubs  # the first member of the first group
+    if near == "loop":
+        edges.append((x, x))
+    elif near == "string" or (near == "swap" and (hubs == 1 or groups[0][0] == 1)):
+        edges.append((0, x))
+    elif near == "swap":
+        edges += [(0, x), (1, x + 1)]
+    return edges
+
+
+def check_twin_case(hubs, groups, rng):
+    """Relabelled copies key alike, and keys match the isomorphism oracle,
+    for the twin graph and each of its near-twin variants."""
+    variants = [LoopyMultigraph.from_edges(twin_edges(hubs, groups, near)) for near in (None, "loop", "string", "swap")]
+    for g in variants:
+        h = support.relabel(g, rng)
+        assert canonical_key(h) == canonical_key(g)
+        assert are_isomorphic(h, g)
+    for g, h in zip(variants, variants[1:]):
+        h = support.relabel(h, rng)
+        assert (canonical_key(g) == canonical_key(h)) == are_isomorphic(g, h)
+
+
+def test_twin_heavy_relabelling_fuzz():
+    """Stars, K2,n and Km,n with loops and parallel strings on twin groups,
+    and near-twins that a twin test ignoring one loop or one multiplicity
+    would merge."""
+    rng = random.Random(99)
+    for _ in range(250):
+        hubs = rng.randint(1, 3)
+        groups = [
+            (rng.randint(1, 4), rng.choice((0, 0, 1, 2)), rng.choice((0, 0, 1)), rng.choice((0, 0, 1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        check_twin_case(hubs, groups, rng)
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+def test_near_twins_refinement_cannot_separate(joined):
+    """Seven leaves lean on hub 0 and seven on hub 1: each leaf has strings
+    to both hubs and a second string to its own, and with ``joined`` a
+    string to every other leaf.  Refinement cannot tell hub 0, over a
+    looped 6-cycle, from hub 1, over two looped triangles, so all fourteen
+    leaves share a cell and have the same neighbours.  No automorphism
+    swaps the hubs, so the two halves are not twins, and a twin test that
+    ignores multiplicities would skip one half and key relabelled copies
+    apart."""
+    hexagon = [(2 + i, 2 + (i + 1) % 6) for i in range(6)]
+    triangles = [(t + i, t + (i + 1) % 3) for t in (8, 11) for i in range(3)]
+    spokes = [(0 if v < 8 else 1, v) for v in range(2, 14)]
+    loops = [(v, v) for v in range(2, 14)]
+    leaves = [(h, x) for x in range(14, 28) for h in (0, 1, 0 if x < 21 else 1)]
+    if joined:
+        leaves += [(x, y) for x in range(14, 28) for y in range(x + 1, 28)]
+    g = LoopyMultigraph.from_edges(hexagon + triangles + spokes + loops + leaves)
+    rng = random.Random(12)
+    key = canonical_key(g)
+    for _ in range(40):
+        assert canonical_key(support.relabel(g, rng)) == key
+
+
+def test_keys_agree_where_a_cell_holds_two_orbits():
+    """A hub over a 6-cycle and two triangles: refinement leaves the
+    twelve rim vertices in one cell, which holds two orbits.  A backjump
+    that went one node past the one the two paths share would skip the
+    orbit not yet tried, and key relabelled copies apart."""
+    hexagon = [(1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    triangles = [(t + i, t + (i + 1) % 3) for t in (7, 10) for i in range(3)]
+    g = LoopyMultigraph.from_edges(hexagon + triangles + [(0, v) for v in range(1, 13)])
+    rng = random.Random(3)
+    key = canonical_key(g)
+    for _ in range(40):
+        assert canonical_key(support.relabel(g, rng)) == key
+
+
+_twin_groups = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(hubs=st.integers(1, 3), groups=_twin_groups, rng=st.randoms(use_true_random=False))
+def test_twin_heavy_relabelling_hypothesis(hubs, groups, rng):
+    check_twin_case(hubs, groups, rng)
+
+
+def test_twin_keying_work_is_linear(monkeypatch):
+    """Keying leaves grow at most linearly in the number of twins, counted
+    by ``_serialize`` calls so that a loaded machine cannot fail it."""
+    leaves = 0
+    serialize = canonical._serialize
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        return serialize(*args)
+
+    monkeypatch.setattr(canonical, "_serialize", counted)
+    rng = random.Random(20)
+    for n in range(2, 21):
+        for g in (make("complete_bipartite", 1, n), make("complete_bipartite", 2, n), make("loopy_star", n)):
+            for h in (g, support.relabel(g, rng)):
+                canonical.clear_caches()
+                leaves = 0
+                canonical_key(h)
+                assert 1 <= leaves <= n
+
+
+@pytest.mark.parametrize("hubs", [1, 2])
+def test_twins_key_fast(hubs):
+    g = make("complete_bipartite", hubs, 20)
+    canonical.clear_caches()
+    start = time.perf_counter()
+    canonical_key(g)
+    assert time.perf_counter() - start < 0.25
 
 
 # Every family at small sizes plus seeded random positions.  The digest

@@ -14,6 +14,8 @@ from strings_and_coins.families import make
 from strings_and_coins.io_cache import load_cache, save_cache
 from strings_and_coins.canonical import canonical_key, clear_caches
 
+import support
+
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -64,9 +66,9 @@ def test_solve_edges_file(tmp_path):
 
 
 def test_solve_edges_budget_covers_keying(tmp_path):
-    # K(2,16): 61 search nodes, but many seconds of keying its twins
+    # keying the rigid multipede alone takes many seconds
     pos = tmp_path / "pos.txt"
-    g = make("complete_bipartite", 2, 16)
+    g = support.multipede(40, 1)
     pos.write_text("".join(f"{ref.u} {ref.v}\n" for ref, m in g.edge_pairs() for _ in range(m)))
     clear_caches()
     start = time.monotonic()
@@ -192,6 +194,23 @@ def test_table_budget_abort_keeps_rows():
     assert [r["parameters"] for r in rows] == [str(p) for p in range(2, 2 + len(rows))]
     for r in rows:
         assert r["p1"] + r["p2"] == int(r["parameters"])
+
+
+def test_table_budget_covers_the_whole_run():
+    # every row of wheel 3..9 fits in 0.6 s on its own, but not all of them
+    clear_caches()
+    start = time.monotonic()
+    code, out, err = invoke(
+        "table", "--family", "wheel", "--from", "3", "--to", "9",
+        "--time-budget", "0.6", "--json",
+    )
+    assert time.monotonic() - start < 0.9
+    assert code == 3
+    rows = json_rows(out)
+    stopped = 3 + len(rows)
+    assert [r["parameters"] for r in rows] == [str(p) for p in range(3, stopped)]
+    assert err.startswith(f"aborted at wheel({stopped}): time budget")
+    assert err.rstrip().endswith(f"rows up to {stopped - 1} are complete")
 
 
 def test_table_range_validation():

@@ -145,12 +145,12 @@ def test_time_budget_abort():
 
 @pytest.mark.parametrize("search", [solve, best_move], ids=["solve", "best_move"])
 def test_time_budget_covers_keying(search):
-    # K(2,16) expands few nodes, but keying its twins alone takes many
-    # seconds: only a clock read inside the keying search can stop it
+    # keying the rigid multipede alone takes many seconds: only a clock
+    # read inside the keying search can stop it
     clear_caches()
     start = time.monotonic()
     with pytest.raises(SolveBudgetExceeded):
-        search(make("complete_bipartite", 2, 16), SolveOptions(time_budget=0.2))
+        search(support.multipede(40, 1), SolveOptions(time_budget=0.2))
     assert time.monotonic() - start < 2
 
 
