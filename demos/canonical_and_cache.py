@@ -17,7 +17,7 @@ from strings_and_coins import (
     save_cache,
     solve,
 )
-from strings_and_coins.canonical import are_isomorphic
+from strings_and_coins.canonical import are_isomorphic, move_classes
 
 
 def relabeled(g, rng):
@@ -46,9 +46,14 @@ def main():
     print("== Move classes; options change the work, not the value ==")
     g = LoopyMultigraph.from_edges([(0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 2)])
     print(f"  {g!r}: {g.edge_count} strings -> {len(g.distinct_moves())} move classes")
+    k6 = make("complete", 6)
+    tried = move_classes(k6)
+    print(f"  complete(6): {len(k6.distinct_moves())} move classes, one orbit;"
+          f" search tries {len(tried)}: {', '.join(f'{a}-{b}' for a, b, _ in tried)}")
     for label, opts in [("default", SolveOptions()), ("no pruning", SolveOptions(pruning=False))]:
         gv = solve(make("complete", 6), opts)
-        print(f"  solving complete(6), {label:10s}: {gv.stats.nodes} nodes, value {gv.differential:+d}")
+        print(f"  solving complete(6), {label:10s}: {gv.stats.nodes} nodes,"
+              f" {gv.stats.symmetric_skips} classes skipped by symmetry, value {gv.differential:+d}")
     print()
 
     print("== Persisting proven values ==")

@@ -45,25 +45,42 @@ Components are split off in one pass over the signature.  Component
 forms are combined by sorting them and relabeling into one vertex range,
 so a disjoint union's key is a pure function of the component keys; each
 form's triples are sorted and its labels lie above those of every earlier
-form, so the combined triples need no sort.  Two content-addressed caches
-make repeated positions cheap during search: whole-graph keys by labelled
-signature, and component forms by local triples.
+form, so the combined triples need no sort.  Content-addressed caches
+make repeated positions cheap during search: whole-graph keys and move
+classes by labelled signature, and component forms and their orbit
+representatives by local triples.
+
+The automorphisms the search finds serve a fourth use, move classes.
+With the twin transpositions they generate a group of the component,
+whose orbits on its edge classes one union-find reads
+(``_class_orbit_reps``).  ``move_classes`` keeps the least class of each
+orbit and drops every class of a component isomorphic to an earlier one,
+so the game search cuts one class per orbit and never builds or keys a
+child isomorphic to a sibling's.
 """
 
 from __future__ import annotations
 
 import struct
 import time
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 
 from .graph import LoopyMultigraph
 
 _COMP_CACHE_CAP = 1 << 21
 _GRAPH_CACHE_CAP = 1 << 21
 
-_comp_cache: dict[tuple, tuple] = {}
-_graph_cache: dict[tuple, bytes] = {}
+# A form and its orbit representatives, like a key and its move classes,
+# sit in two dicts under one key, not in one pair: a pair made after its
+# items have aged stays tracked by the garbage collector into its oldest
+# generation, and one such pair per entry doubled the full collections of
+# solve(complete(9)), from 238 to 504.
+_comp_cache: dict[tuple, tuple] = {}  # (n, local triples) -> serialisation
+_orbit_cache: dict[tuple, tuple] = {}  # the same, where an orbit merges -> representatives
+_graph_cache: dict[tuple, bytes] = {}  # labelled signature -> key
+_move_cache: dict[tuple, tuple] = {}  # labelled signature -> move classes
 
 _U16_MAX = 0xFFFF  # widest vertex count, label or multiplicity a key can hold
 
@@ -74,7 +91,9 @@ class KeyLimitError(ValueError):
 
 def clear_caches() -> None:
     _comp_cache.clear()
+    _orbit_cache.clear()
     _graph_cache.clear()
+    _move_cache.clear()
 
 
 # -- color refinement --------------------------------------------------------
@@ -237,8 +256,10 @@ def _twin_roots(adj: list[dict[int, int]], cols: list[int], cells: dict[int, lis
 
 def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: float | None = None) -> tuple:
     """Lex-least serialization of one connected component (local labels
-    0..n-1).  Raises ``SolveBudgetExceeded`` once ``time.monotonic()``
-    passes ``deadline``, when one is given.
+    0..n-1), and the least class of each orbit of the automorphisms the
+    search found, as ``_class_orbit_reps`` gives it.  Raises
+    ``SolveBudgetExceeded`` once ``time.monotonic()`` passes ``deadline``,
+    when one is given.
 
     The search is depth-first over the individualisation tree: a node is
     the equitable partition reached by individualising the vertices on its
@@ -276,7 +297,7 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
       store is full.
     """
     if n == 1:
-        return triples  # a single vertex carries only loops, already canonical
+        return triples, None  # a single vertex carries only loops, already canonical
     adj: list[dict[int, int]] = [{} for _ in range(n)]
     loops = [0] * n
     for a, b, m in triples:
@@ -391,26 +412,79 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
         return None
 
     rec(cols, cells, 0)
-    return best_serial
+    return best_serial, _class_orbit_reps(triples, autos, twin)
 
 
-def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple[int, tuple]:
+def _class_orbit_reps(triples: tuple, autos: list, twin: list[int]) -> tuple[int, ...] | None:
+    """The index into ``triples`` of the least class of each orbit of the
+    group that the found automorphisms ``autos`` and the twin
+    transpositions ``(v, twin[v])`` generate, ascending; None when every
+    orbit holds one class.
+
+    Each generator is an automorphism, so the classes of one orbit have
+    isomorphic children; a generator left out (the store is capped) only
+    leaves orbits split.  The orbits are read into a union-find whose root
+    is the least member of its set.  The twin transpositions generate
+    every permutation of each twin class, so they join exactly the classes
+    whose ends lie in the same two twin classes, loops apart from strings;
+    each automorphism then joins every class to its image.
+    """
+    if any(t != v for v, t in enumerate(twin)):
+        first: dict[tuple[int, int, bool], int] = {}
+        parent = []
+        for i, (a, b, _) in enumerate(triples):
+            ta, tb = twin[a], twin[b]
+            parent.append(first.setdefault((ta, tb, a == b) if ta < tb else (tb, ta, a == b), i))
+    elif autos:
+        parent = list(range(len(triples)))
+    else:
+        return None
+    if autos:
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for _, pairs in autos:
+            perm = dict(pairs)
+            for i, (a, b, _) in enumerate(triples):
+                x, y = perm.get(a, a), perm.get(b, b)
+                if x != a or y != b:
+                    # the image class, found by bisection in the sorted triples
+                    ri, rj = find(i), find(bisect_left(triples, (x, y) if x <= y else (y, x)))
+                    if ri < rj:
+                        parent[rj] = ri
+                    elif rj < ri:
+                        parent[ri] = rj
+    reps = [i for i, p in enumerate(parent) if p == i]
+    return None if len(reps) == len(triples) else tuple(reps)
+
+
+def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple:
+    """``_canon_search(n, triples)``, through the component caches."""
     key = (n, triples)
-    r = _comp_cache.get(key)
-    if r is None:
-        r = _canon_search(n, triples, deadline)
-        if len(_comp_cache) >= _COMP_CACHE_CAP:
-            _comp_cache.clear()
-        _comp_cache[key] = r
-    return (n, r)
+    form = _comp_cache.get(key)
+    if form is not None:
+        return form, _orbit_cache.get(key)
+    form, reps = _canon_search(n, triples, deadline)
+    if len(_comp_cache) >= _COMP_CACHE_CAP:
+        _comp_cache.clear()
+        _orbit_cache.clear()
+    _comp_cache[key] = form
+    if reps is not None:
+        _orbit_cache[key] = reps
+    return form, reps
 
 
 # -- whole-graph keys ----------------------------------------------------------
 
 
-def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
-    """Each component as (size, sorted local (a, b, mult) triples), in
-    order of least vertex; local labels rank a component's vertices.
+def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple, range | list[int]]]:
+    """Each component as (size, sorted local (a, b, mult) triples, the
+    indices of those triples in the signature), in order of least vertex;
+    local labels rank a component's vertices.
 
     One pass over the signature joins endpoints in a union-find whose root
     is always the least vertex of its set.  Ranking is monotone, so triples
@@ -440,9 +514,9 @@ def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
             merges += 1
     if merges == n - 1:
         if verts[-1] == n - 1:
-            return [(n, sig)]
+            return [(n, sig, range(len(sig)))]
         local = {v: i for i, v in enumerate(verts)}
-        return [(n, tuple([(local[a], local[b], m) for a, b, m in sig]))]
+        return [(n, tuple([(local[a], local[b], m) for a, b, m in sig]), range(len(sig)))]
     which: dict[int, int] = {}
     local = {}
     sizes: list[int] = []
@@ -457,9 +531,12 @@ def _component_local_triples(g: LoopyMultigraph) -> list[tuple[int, tuple]]:
         local[v] = sizes[ci]
         sizes[ci] += 1
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
-    for a, b, m in sig:
-        buckets[which[a]].append((local[a], local[b], m))
-    return [(size, tuple(bucket)) for size, bucket in zip(sizes, buckets)]
+    places: list[list[int]] = [[] for _ in sizes]
+    for k, (a, b, m) in enumerate(sig):
+        ci = which[a]
+        buckets[ci].append((local[a], local[b], m))
+        places[ci].append(k)
+    return [(size, tuple(bucket), where) for size, bucket, where in zip(sizes, buckets, places)]
 
 
 def check_key_limits(g: LoopyMultigraph) -> None:
@@ -500,16 +577,71 @@ def canonical_key(g: LoopyMultigraph, deadline: float | None = None) -> bytes:
     ``solver.SolveBudgetExceeded`` when the key is not found before
     ``time.monotonic()`` passes ``deadline``, if one is given.
     """
-    sig = g.signature()
-    key = _graph_cache.get(sig)
+    key = _graph_cache.get(g.signature())
     if key is None:
-        check_key_limits(g)
-        forms = [_component_form(n, t, deadline) for n, t in _component_local_triples(g)]
-        key = _combine_forms(forms)
-        if len(_graph_cache) >= _GRAPH_CACHE_CAP:
-            _graph_cache.clear()
-        _graph_cache[sig] = key
+        key = _key_graph(g, deadline)
     return key
+
+
+def move_classes(g: LoopyMultigraph, deadline: float | None = None, *, swap_components: bool = True) -> tuple:
+    """The signature triples of ``g`` that a search must try, in signature
+    order: the least class of each orbit of the automorphisms found while
+    keying ``g``, and, with ``swap_components``, no class of a component
+    isomorphic to an earlier one.  Each class left out has an isomorphic
+    child, with the same capture count, to one kept.  The signature itself
+    when none is left out.  Raises as ``canonical_key`` does.
+
+    Swapping two isomorphic components is an automorphism, but the least
+    class of an orbit that spans components can lie in a later component,
+    so a caller that keeps the least class of each orbit passes
+    ``swap_components=False``.
+    """
+    sig = g.signature()
+    if not swap_components:
+        comps = _component_local_triples(g)
+        return _move_classes(sig, comps, [_component_form(n, t, deadline) for n, t, _ in comps], False)
+    moves = _move_cache.get(sig)
+    if moves is None:
+        _key_graph(g, deadline)
+        moves = _move_cache[sig]
+    return moves
+
+
+def _key_graph(g: LoopyMultigraph, deadline: float | None) -> bytes:
+    """Key ``g`` and store its key and move classes in the whole-graph
+    caches."""
+    check_key_limits(g)
+    sig = g.signature()
+    comps = _component_local_triples(g)
+    found = [_component_form(n, t, deadline) for n, t, _ in comps]
+    key = _combine_forms([(n, form) for (n, _, _), (form, _) in zip(comps, found)])
+    if len(_graph_cache) >= _GRAPH_CACHE_CAP:
+        _graph_cache.clear()
+        _move_cache.clear()
+    _graph_cache[sig] = key
+    _move_cache[sig] = _move_classes(sig, comps, found, True)
+    return key
+
+
+def _move_classes(sig: tuple, comps: list, found: list, swap_components: bool) -> tuple:
+    """``move_classes`` from the components of ``sig`` and their
+    ``_component_form`` results.  A component's local triples are its
+    signature triples in signature order, so local index i is the i-th
+    of its signature indices."""
+    keep = bytearray(b"\x01") * len(sig)
+    seen: set[tuple] = set()
+    for (n, _, where), (form, reps) in zip(comps, found):
+        if swap_components and len(comps) > 1:
+            if (n, form) in seen:
+                reps = ()  # swapping it with an earlier copy is an automorphism
+            else:
+                seen.add((n, form))
+        if reps is not None:
+            for k in where:
+                keep[k] = 0
+            for i in reps:
+                keep[where[i]] = 1
+    return sig if all(keep) else tuple(compress(sig, keep))
 
 
 @lru_cache(maxsize=256)
@@ -532,51 +664,51 @@ def unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
 
 def are_isomorphic(g1: LoopyMultigraph, g2: LoopyMultigraph) -> bool:
     """Backtracking vertex-map search, written independently of the
-    canonical-form machinery so the two can cross-check each other."""
+    canonical-form machinery so the two can cross-check each other.
+
+    Each unmapped vertex of ``g1`` keeps the candidates in ``g2`` that
+    have its (incident count, loops) profile and its multiplicity to every
+    mapped vertex's image.  The search maps a vertex with fewest
+    candidates next, and backs up as soon as a vertex has none left.
+    """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
 
     def profile(g: LoopyMultigraph, v: int) -> tuple[int, int]:
         return (g.incident_count(v), g.loop_multiplicity(v))
 
+    def rows(g: LoopyMultigraph) -> dict[int, dict[int, int]]:
+        adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+        for ref, m in g.edge_pairs():
+            if not ref.is_loop:
+                adj[ref.u][ref.v] = m
+                adj[ref.v][ref.u] = m
+        return adj
+
     v1 = g1.vertices
     v2 = g2.vertices
-    p1 = sorted(profile(g1, v) for v in v1)
-    p2 = sorted(profile(g2, v) for v in v2)
-    if p1 != p2:
+    if sorted(profile(g1, v) for v in v1) != sorted(profile(g2, v) for v in v2):
         return False
+    adj1, adj2 = rows(g1), rows(g2)
 
-    # most-constrained-first: rare profiles then high degree
-    freq: dict[tuple[int, int], int] = {}
-    for v in v1:
-        pr = profile(g1, v)
-        freq[pr] = freq.get(pr, 0) + 1
-    order = sorted(v1, key=lambda v: (freq[profile(g1, v)], -g1.incident_count(v), v))
-    cands = {v: [w for w in v2 if profile(g2, w) == profile(g1, v)] for v in order}
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(k: int) -> bool:
-        if k == len(order):
+    def place(cands: dict[int, list[int]]) -> bool:
+        if not cands:
             return True
-        v = order[k]
+        v = min(cands, key=lambda x: len(cands[x]))
         for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for x, y in mapping.items():
-                if g1.multiplicity(v, x) != g2.multiplicity(w, y):
-                    ok = False
+            row1, row2 = adj1[v], adj2[w]
+            narrowed = {}
+            for x, ys in cands.items():
+                if x == v:
+                    continue
+                m = row1.get(x, 0)
+                keep = [y for y in ys if y != w and row2.get(y, 0) == m]
+                if not keep:
                     break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if place(k + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
+                narrowed[x] = keep
+            else:
+                if place(narrowed):
+                    return True
         return False
 
-    return place(0)
+    return place({v: [w for w in v2 if profile(g2, w) == profile(g1, v)] for v in v1})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -273,6 +274,10 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    budget = getattr(args, "time_budget", None)  # verify and cache take none
+    if budget is not None and math.isnan(budget):
+        print("error: --time-budget must be a number of seconds, got nan", file=err)
+        return 2
     try:
         return args.fn(args, out, err)
     except UnknownClaimError as exc:

@@ -24,7 +24,11 @@ one shared table.
 Moves are tried most captures first, ties in sorted order.  The capture
 count of a move is read off the incident counts, so the order is fixed
 before any child exists; children are then built in that order on
-demand, and none is built past an alpha-beta cutoff.
+demand, and none is built past an alpha-beta cutoff.  With the table on,
+a node tries one edge class per orbit of the automorphisms that keying
+it found (``canonical.move_classes``), so a child isomorphic to a
+sibling's is neither built nor keyed; without the table nothing is
+keyed, and every class is tried.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
 refuse, with ``DepthLimitError``, a position whose strings would not fit
@@ -34,6 +38,7 @@ recursion.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -142,6 +147,8 @@ class SolveOptions:
 class SearchStats:
     nodes: int = 0
     memo_hits: int = 0
+    # edge classes not tried because an earlier class shares their orbit
+    symmetric_skips: int = 0
     elapsed: float = 0.0
 
 
@@ -184,15 +191,33 @@ class _Searcher:
         self.stats = SearchStats()
         self.deadline = deadline
 
-    def _move_order(self, g: LoopyMultigraph) -> list:
-        """Moves as (a, b, ...) tuples, most captures first, ties in sorted
-        order: the order of the children sorted by (-captured, edge count),
-        since every child has one edge less, without building them."""
+    def _move_order(self, g: LoopyMultigraph, moves: tuple) -> list:
+        """The classes ``moves`` of ``g``, as (a, b, ...) tuples, most
+        captures first, ties in sorted order: the order of their children
+        sorted by (-captured, edge count), since every child has one edge
+        less, without building them."""
         inc = g._incident
         # a vertex with one edge instance left falls to whoever cuts it
-        return sorted(g.signature(), key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
+        return sorted(moves, key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
+        """Fail-soft value of ``g`` for the window (alpha, beta): exact
+        strictly inside it, an upper bound at or below alpha, a lower
+        bound at or above beta.
+
+        With the table on, only the classes of ``canonical.move_classes``
+        are tried; with ``memo=False`` nothing is keyed and every class is.
+        A class left out has a tried class with the same capture count and
+        an isomorphic child, so its true value is that tried class's, and
+        the true value of ``g`` is the best over the tried classes alone.
+        A fail-soft search over those classes is then as sound as over all:
+        an exact result stays exact; a fail-high result is a lower bound
+        from a real child; a fail-low result is the largest of upper bounds
+        on the tried children, so still at least the true value.  The
+        order of the tried classes plays no part, so it does not matter
+        that a class left out for a repeated component may sort before the
+        one tried in its place.
+        """
         if g.edge_count == 0:
             return 0
         deadline = self.deadline
@@ -232,14 +257,17 @@ class _Searcher:
                             return v
                         if v < b:
                             b = v
+            moves = canonical.move_classes(g, deadline)
         else:
             key = b""
+            moves = g.signature()
         self.stats.nodes += 1
+        self.stats.symmetric_skips += len(g.signature()) - len(moves)
         a0 = a
         best = -(1 << 30)
         # children are built in move order only when reached, so none is
         # built past a cutoff
-        for t in self._move_order(g):
+        for t in self._move_order(g, moves):
             captured, succ = g._child(t[0], t[1])
             if captured:
                 v = captured + self.search(succ, a - captured, b - captured)
@@ -278,8 +306,13 @@ def solve(g: LoopyMultigraph, opts: SolveOptions | None = None) -> GameValue:
 
 def _deadline(opts: SolveOptions) -> float | None:
     """The ``time.monotonic()`` reading at which ``opts.time_budget``
-    runs out if the clock starts now, or None without a budget."""
-    return None if opts.time_budget is None else time.monotonic() + opts.time_budget
+    runs out if the clock starts now, or None without a budget.  Raises
+    ``ValueError`` for a NaN budget, which no clock reading passes."""
+    if opts.time_budget is None:
+        return None
+    if math.isnan(opts.time_budget):
+        raise ValueError("time_budget is nan; give a number of seconds")
+    return time.monotonic() + opts.time_budget
 
 
 def _solve(g: LoopyMultigraph, opts: SolveOptions, deadline: float | None) -> GameValue:
@@ -297,7 +330,13 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     """An optimal move and the position's value.
 
     Among optimal moves, ties break toward the lexicographically least
-    canonical key of the successor, so the choice is label-independent.
+    canonical key of the successor, so the choice is label-independent,
+    and then toward the least edge class.  With the table on, the root
+    tries one class per orbit of each component's automorphisms: a class
+    left out has the same value and successor key as a class before it,
+    so the answer is the move every class would give.  Classes of a
+    component isomorphic to an earlier one are all tried here, since the
+    least class of such an orbit may lie in the later component.
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")
@@ -309,8 +348,13 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     best_v = None
     best_ref = None
     best_key = b""
-    for ref in g.distinct_moves():
-        captured, succ = g._child(ref.u, ref.v)
+    if searcher.table is None:
+        moves = g.signature()
+    else:
+        moves = canonical.move_classes(g, searcher.deadline, swap_components=False)
+    for a, b, _ in moves:
+        ref = EdgeRef(a, b)
+        captured, succ = g._child(a, b)
         if captured:
             v = captured + searcher.search(succ, -n, n)
         else:

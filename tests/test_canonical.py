@@ -234,16 +234,13 @@ def test_twin_heavy_relabelling_fuzz():
         check_twin_case(hubs, groups, rng)
 
 
-@pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
-def test_near_twins_refinement_cannot_separate(joined):
+def _near_twins(joined):
     """Seven leaves lean on hub 0 and seven on hub 1: each leaf has strings
     to both hubs and a second string to its own, and with ``joined`` a
     string to every other leaf.  Refinement cannot tell hub 0, over a
     looped 6-cycle, from hub 1, over two looped triangles, so all fourteen
-    leaves share a cell and have the same neighbours.  No automorphism
-    swaps the hubs, so the two halves are not twins, and a twin test that
-    ignores multiplicities would skip one half and key relabelled copies
-    apart."""
+    leaves share a cell and have the same neighbours, yet no automorphism
+    swaps the hubs."""
     hexagon = [(2 + i, 2 + (i + 1) % 6) for i in range(6)]
     triangles = [(t + i, t + (i + 1) % 3) for t in (8, 11) for i in range(3)]
     spokes = [(0 if v < 8 else 1, v) for v in range(2, 14)]
@@ -251,25 +248,101 @@ def test_near_twins_refinement_cannot_separate(joined):
     leaves = [(h, x) for x in range(14, 28) for h in (0, 1, 0 if x < 21 else 1)]
     if joined:
         leaves += [(x, y) for x in range(14, 28) for y in range(x + 1, 28)]
-    g = LoopyMultigraph.from_edges(hexagon + triangles + spokes + loops + leaves)
+    return LoopyMultigraph.from_edges(hexagon + triangles + spokes + loops + leaves)
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+def test_near_twins_refinement_cannot_separate(joined):
+    """On ``_near_twins`` the two halves of the leaves are not twins, and a
+    twin test that ignores multiplicities would skip one half and key
+    relabelled copies apart."""
+    g = _near_twins(joined)
     rng = random.Random(12)
     key = canonical_key(g)
     for _ in range(40):
         assert canonical_key(support.relabel(g, rng)) == key
 
 
-def test_keys_agree_where_a_cell_holds_two_orbits():
+def _hub_over_two_orbits():
     """A hub over a 6-cycle and two triangles: refinement leaves the
-    twelve rim vertices in one cell, which holds two orbits.  A backjump
-    that went one node past the one the two paths share would skip the
-    orbit not yet tried, and key relabelled copies apart."""
+    twelve rim vertices in one cell, which holds two orbits."""
     hexagon = [(1 + i, 1 + (i + 1) % 6) for i in range(6)]
     triangles = [(t + i, t + (i + 1) % 3) for t in (7, 10) for i in range(3)]
-    g = LoopyMultigraph.from_edges(hexagon + triangles + [(0, v) for v in range(1, 13)])
+    return LoopyMultigraph.from_edges(hexagon + triangles + [(0, v) for v in range(1, 13)])
+
+
+def test_keys_agree_where_a_cell_holds_two_orbits():
+    """On ``_hub_over_two_orbits``, a backjump that went one node past the
+    one the two paths share would skip the orbit not yet tried, and key
+    relabelled copies apart."""
+    g = _hub_over_two_orbits()
     rng = random.Random(3)
     key = canonical_key(g)
     for _ in range(40):
         assert canonical_key(support.relabel(g, rng)) == key
+
+
+def _move_class_positions():
+    """Seeded random positions with loops and parallel strings, twin-heavy
+    stars and Km,n, the paper's families, disjoint unions with repeated
+    components, and graphs whose refinement cells are not orbits; then a
+    few positions from a random walk below each."""
+    rng = random.Random(20261019)
+    starts = [make(name, *params) for name, *params in _GOLDEN_FAMILIES]
+    for _ in range(80):
+        g = support.random_graph(rng, max_vertices=8, max_edges=11, loop_chance=0.3)
+        extra = [ref for ref, _ in g.edge_pairs() if rng.random() < 0.3]
+        starts.append(LoopyMultigraph.from_edges([ref for ref, m in g.edge_pairs() for _ in range(m)] + extra))
+    starts += [make("complete_bipartite", a, b) for a, b in ((1, 7), (2, 5), (3, 4))]
+    starts += [make("loopy_star", 7), make("generalized_loopy_star", 4, 2)]
+    starts += [_near_twins(False), _near_twins(True), _hub_over_two_orbits()]
+    for part in (make("path", 4), make("cycle", 5), make("friendship", 2), make("loopy_cycle", 4, 2)):
+        union = part.disjoint_union(make("path", 3)).disjoint_union(part).disjoint_union(part)
+        starts += [union, support.relabel(union, rng)]  # relabelled: components interleave
+    positions = []
+    for g in starts:
+        positions.append(g)
+        for _ in range(3):
+            if not g.edge_count:
+                break
+            a, b, _ = rng.choice(g.signature())
+            g = g._child(a, b)[1]
+            if g.edge_count:
+                positions.append(g)
+    return positions
+
+
+def _check_left_out_classes(g, kept, ordered):
+    """Every class of ``g`` missing from ``kept`` has a kept class with the
+    same capture count and a child that ``are_isomorphic`` matches to its
+    own; with ``ordered``, a kept class that sorts before it."""
+    sig = g.signature()
+    assert set(kept) <= set(sig) and list(kept) == sorted(set(kept))
+    children = {t: g._child(t[0], t[1]) for t in sig}
+    for t in sig:
+        if t in kept:
+            continue
+        captured, succ = children[t]
+        assert any(
+            children[r][0] == captured and (r < t or not ordered) and are_isomorphic(children[r][1], succ)
+            for r in kept
+        ), (sig, t)
+
+
+def test_move_classes_leave_out_only_isomorphic_children():
+    """The classes search leaves out are judged by the independent oracle:
+    each repeats a kept class's capture count and child.  The root classes
+    of ``best_move`` also keep a class that sorts first."""
+    skipped = 0
+    positions = _move_class_positions()
+    for g in positions:
+        kept = canonical.move_classes(g)
+        _check_left_out_classes(g, kept, ordered=False)
+        root = canonical.move_classes(g, swap_components=False)
+        _check_left_out_classes(g, root, ordered=True)
+        assert set(kept) <= set(root)
+        skipped += len(g.signature()) - len(kept)
+    assert len(positions) > 300 and skipped > 1000
 
 
 _twin_groups = st.lists(
@@ -397,7 +470,12 @@ def test_derived_signature_fuzz():
                 child = parent.remove_edge((b, a)).successor
             ref = LoopyMultigraph.from_edges([e for e, m in child.edge_pairs() for _ in range(m)])
             assert child.signature() == ref.signature()
-            assert canonical._component_local_triples(child) == _split_by_search(ref)
+            split = canonical._component_local_triples(child)
+            assert [(n, triples) for n, triples, _ in split] == _split_by_search(ref)
+            # each component's triples sit at its signature indices, in order
+            sig = child.signature()
+            for comp, (_, _, where) in zip(support.components(child), split):
+                assert [sig[k] for k in where] == [t for t in sig if t[0] in comp]
             canonical._graph_cache.clear()  # key both through the split, not the cache
             key = canonical_key(child)
             canonical._graph_cache.clear()

@@ -182,6 +182,22 @@ def test_table_tsv_single_header():
     assert sum(ln.startswith("family\t") for ln in lines) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--family", "complete", "7"),
+        ("bestmove", "--family", "complete", "7"),
+        ("table", "--family", "complete", "--from", "2", "--to", "7"),
+    ],
+    ids=["solve", "bestmove", "table"],
+)
+def test_nan_time_budget_is_refused(argv):
+    code, out, err = invoke(*argv, "--time-budget", "nan", "--json")
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and "--time-budget" in line
+
+
 def test_table_budget_abort_keeps_rows():
     code, out, err = invoke(
         "table", "--family", "complete", "--from", "2", "--to", "10",
@@ -197,11 +213,12 @@ def test_table_budget_abort_keeps_rows():
 
 
 def test_table_budget_covers_the_whole_run():
-    # every row of wheel 3..9 fits in 0.6 s on its own, but not all of them
+    # wheel 3..10 takes about 2 s, and the rows before wheel(10) take well
+    # under 0.6 s each: a budget per row would run past 0.9 s
     clear_caches()
     start = time.monotonic()
     code, out, err = invoke(
-        "table", "--family", "wheel", "--from", "3", "--to", "9",
+        "table", "--family", "wheel", "--from", "3", "--to", "10",
         "--time-budget", "0.6", "--json",
     )
     assert time.monotonic() - start < 0.9
