@@ -45,10 +45,10 @@ Components are split off in one pass over the signature.  Component
 forms are combined by sorting them and relabeling into one vertex range,
 so a disjoint union's key is a pure function of the component keys; each
 form's triples are sorted and its labels lie above those of every earlier
-form, so the combined triples need no sort.  Content-addressed caches
-make repeated positions cheap during search: whole-graph keys and move
-classes by labelled signature, and component forms and their orbit
-representatives by local triples.
+form, so the combined triples need no sort.  Two content-addressed
+caches, one entry per key, make repeated positions cheap during search:
+by labelled signature, a position's key and move classes; by local
+triples, a component's form and orbit representatives.
 
 The automorphisms the search finds serve a fourth use, move classes.
 With the twin transpositions they generate a group of the component,
@@ -69,18 +69,10 @@ from itertools import chain, compress
 
 from .graph import LoopyMultigraph
 
-_COMP_CACHE_CAP = 1 << 21
-_GRAPH_CACHE_CAP = 1 << 21
+_CACHE_CAP = 1 << 21  # entries per cache; a full cache is cleared
 
-# A form and its orbit representatives, like a key and its move classes,
-# sit in two dicts under one key, not in one pair: a pair made after its
-# items have aged stays tracked by the garbage collector into its oldest
-# generation, and one such pair per entry doubled the full collections of
-# solve(complete(9)), from 238 to 504.
-_comp_cache: dict[tuple, tuple] = {}  # (n, local triples) -> serialisation
-_orbit_cache: dict[tuple, tuple] = {}  # the same, where an orbit merges -> representatives
-_graph_cache: dict[tuple, bytes] = {}  # labelled signature -> key
-_move_cache: dict[tuple, tuple] = {}  # labelled signature -> move classes
+_comp_cache: dict[tuple, tuple] = {}  # (n, local triples) -> (serialisation, orbit representatives)
+_graph_cache: dict[tuple, tuple] = {}  # labelled signature -> (key, move classes)
 
 _U16_MAX = 0xFFFF  # widest vertex count, label or multiplicity a key can hold
 
@@ -91,9 +83,7 @@ class KeyLimitError(ValueError):
 
 def clear_caches() -> None:
     _comp_cache.clear()
-    _orbit_cache.clear()
     _graph_cache.clear()
-    _move_cache.clear()
 
 
 # -- color refinement --------------------------------------------------------
@@ -254,6 +244,14 @@ def _twin_roots(adj: list[dict[int, int]], cols: list[int], cells: dict[int, lis
     return twin
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: float | None = None) -> tuple:
     """Lex-least serialization of one connected component (local labels
     0..n-1), and the least class of each orbit of the automorphisms the
@@ -355,12 +353,6 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
             shared += 1
         return shared
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def rec(cols: list[int], cells: dict[int, list[int]], prefix: int) -> int | None:
         """Search below the node whose individualized vertices are ``path``
         and form the bitmask ``prefix``; ``cols``/``cells`` is its
@@ -394,13 +386,13 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
                     if parent is None:
                         parent = list(range(n))
                     for a, b in pairs:
-                        ra, rb = find(parent, a), find(parent, b)
+                        ra, rb = _find(parent, a), _find(parent, b)
                         if ra != rb:
                             parent[ra] = rb
                 seen = len(autos)
             if parent is not None:
-                rv = find(parent, v)
-                if any(find(parent, w) == rv for w in tried):
+                rv = _find(parent, v)
+                if any(_find(parent, w) == rv for w in tried):
                     continue
             tried.append(v)
             tried_twins.add(twin[v])
@@ -411,7 +403,10 @@ def _canon_search(n: int, triples: tuple[tuple[int, int, int], ...], deadline: f
                 return back
         return None
 
-    rec(cols, cells, 0)
+    try:
+        rec(cols, cells, 0)
+    finally:
+        del rec  # it holds itself through its closure: a cycle for the collector
     return best_serial, _class_orbit_reps(triples, autos, twin)
 
 
@@ -440,20 +435,13 @@ def _class_orbit_reps(triples: tuple, autos: list, twin: list[int]) -> tuple[int
     else:
         return None
     if autos:
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for _, pairs in autos:
             perm = dict(pairs)
             for i, (a, b, _) in enumerate(triples):
                 x, y = perm.get(a, a), perm.get(b, b)
                 if x != a or y != b:
                     # the image class, found by bisection in the sorted triples
-                    ri, rj = find(i), find(bisect_left(triples, (x, y) if x <= y else (y, x)))
+                    ri, rj = _find(parent, i), _find(parent, bisect_left(triples, (x, y) if x <= y else (y, x)))
                     if ri < rj:
                         parent[rj] = ri
                     elif rj < ri:
@@ -463,19 +451,15 @@ def _class_orbit_reps(triples: tuple, autos: list, twin: list[int]) -> tuple[int
 
 
 def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple:
-    """``_canon_search(n, triples)``, through the component caches."""
+    """``_canon_search(n, triples)``, through the component cache."""
     key = (n, triples)
-    form = _comp_cache.get(key)
-    if form is not None:
-        return form, _orbit_cache.get(key)
-    form, reps = _canon_search(n, triples, deadline)
-    if len(_comp_cache) >= _COMP_CACHE_CAP:
-        _comp_cache.clear()
-        _orbit_cache.clear()
-    _comp_cache[key] = form
-    if reps is not None:
-        _orbit_cache[key] = reps
-    return form, reps
+    found = _comp_cache.get(key)
+    if found is None:
+        found = _canon_search(n, triples, deadline)
+        if len(_comp_cache) >= _CACHE_CAP:
+            _comp_cache.clear()
+        _comp_cache[key] = found
+    return found
 
 
 # -- whole-graph keys ----------------------------------------------------------
@@ -577,53 +561,42 @@ def canonical_key(g: LoopyMultigraph, deadline: float | None = None) -> bytes:
     ``solver.SolveBudgetExceeded`` when the key is not found before
     ``time.monotonic()`` passes ``deadline``, if one is given.
     """
-    key = _graph_cache.get(g.signature())
-    if key is None:
-        key = _key_graph(g, deadline)
-    return key
+    entry = _graph_cache.get(g.signature())
+    if entry is None:
+        entry = _key_graph(g, deadline)
+    return entry[0]
 
 
-def move_classes(g: LoopyMultigraph, deadline: float | None = None, *, swap_components: bool = True) -> tuple:
+def move_classes(g: LoopyMultigraph, deadline: float | None = None) -> tuple:
     """The signature triples of ``g`` that a search must try, in signature
     order: the least class of each orbit of the automorphisms found while
-    keying ``g``, and, with ``swap_components``, no class of a component
-    isomorphic to an earlier one.  Each class left out has an isomorphic
-    child, with the same capture count, to one kept.  The signature itself
-    when none is left out.  Raises as ``canonical_key`` does.
-
-    Swapping two isomorphic components is an automorphism, but the least
-    class of an orbit that spans components can lie in a later component,
-    so a caller that keeps the least class of each orbit passes
-    ``swap_components=False``.
+    keying ``g``, and no class of a component isomorphic to an earlier
+    one.  Each class left out has an isomorphic child, with the same
+    capture count, to one kept.  The signature itself when none is left
+    out.  Read from the same cache entry as ``canonical_key``; raises as
+    it does.
     """
-    sig = g.signature()
-    if not swap_components:
-        comps = _component_local_triples(g)
-        return _move_classes(sig, comps, [_component_form(n, t, deadline) for n, t, _ in comps], False)
-    moves = _move_cache.get(sig)
-    if moves is None:
-        _key_graph(g, deadline)
-        moves = _move_cache[sig]
-    return moves
+    entry = _graph_cache.get(g.signature())
+    if entry is None:
+        entry = _key_graph(g, deadline)
+    return entry[1]
 
 
-def _key_graph(g: LoopyMultigraph, deadline: float | None) -> bytes:
-    """Key ``g`` and store its key and move classes in the whole-graph
-    caches."""
+def _key_graph(g: LoopyMultigraph, deadline: float | None) -> tuple:
+    """Key ``g``, and store and return its whole-graph cache entry: (key,
+    move classes)."""
     check_key_limits(g)
     sig = g.signature()
     comps = _component_local_triples(g)
     found = [_component_form(n, t, deadline) for n, t, _ in comps]
     key = _combine_forms([(n, form) for (n, _, _), (form, _) in zip(comps, found)])
-    if len(_graph_cache) >= _GRAPH_CACHE_CAP:
+    if len(_graph_cache) >= _CACHE_CAP:
         _graph_cache.clear()
-        _move_cache.clear()
-    _graph_cache[sig] = key
-    _move_cache[sig] = _move_classes(sig, comps, found, True)
-    return key
+    entry = _graph_cache[sig] = (key, _move_classes(sig, comps, found))
+    return entry
 
 
-def _move_classes(sig: tuple, comps: list, found: list, swap_components: bool) -> tuple:
+def _move_classes(sig: tuple, comps: list, found: list) -> tuple:
     """``move_classes`` from the components of ``sig`` and their
     ``_component_form`` results.  A component's local triples are its
     signature triples in signature order, so local index i is the i-th
@@ -631,7 +604,7 @@ def _move_classes(sig: tuple, comps: list, found: list, swap_components: bool) -
     keep = bytearray(b"\x01") * len(sig)
     seen: set[tuple] = set()
     for (n, _, where), (form, reps) in zip(comps, found):
-        if swap_components and len(comps) > 1:
+        if len(comps) > 1:
             if (n, form) in seen:
                 reps = ()  # swapping it with an earlier copy is an automorphism
             else:
@@ -711,4 +684,7 @@ def are_isomorphic(g1: LoopyMultigraph, g2: LoopyMultigraph) -> bool:
                     return True
         return False
 
-    return place({v: [w for w in v2 if profile(g2, w) == profile(g1, v)] for v in v1})
+    try:
+        return place({v: [w for w in v2 if profile(g2, w) == profile(g1, v)] for v in v1})
+    finally:
+        del place  # it holds itself through its closure: a cycle for the collector

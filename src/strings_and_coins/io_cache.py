@@ -160,7 +160,8 @@ def _parse_cache(blob: bytes, path: str) -> CacheLoad:
 
 def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], append: bool = False) -> int:
     """Write records; with ``append`` add to an existing file.  Returns
-    the number of records written.
+    the number of records written.  Raises ``ValueError``, before writing
+    anything, for a value outside a record's i16 field.
 
     The records go out as one buffer in one ``write``; an append holds an
     exclusive ``flock`` on the file meanwhile, so concurrent appenders
@@ -170,6 +171,8 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     buf = bytearray()
     count = 0
     for key, value in items:
+        if not -0x8000 <= value <= 0x7FFF:
+            raise ValueError(f"value {value} does not fit a record's i16 field (-32768..32767)")
         buf += _U32.pack(len(key))
         buf += key
         buf += _I16.pack(value)

@@ -331,12 +331,9 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
 
     Among optimal moves, ties break toward the lexicographically least
     canonical key of the successor, so the choice is label-independent,
-    and then toward the least edge class.  With the table on, the root
-    tries one class per orbit of each component's automorphisms: a class
-    left out has the same value and successor key as a class before it,
-    so the answer is the move every class would give.  Classes of a
-    component isomorphic to an earlier one are all tried here, since the
-    least class of such an orbit may lie in the later component.
+    and then toward the least edge class.  The root tries every class,
+    each with the full window, so with the table on a class whose child
+    is isomorphic to an earlier sibling's costs one exact table hit.
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")
@@ -348,11 +345,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     best_v = None
     best_ref = None
     best_key = b""
-    if searcher.table is None:
-        moves = g.signature()
-    else:
-        moves = canonical.move_classes(g, searcher.deadline, swap_components=False)
-    for a, b, _ in moves:
+    for a, b, _ in g.signature():
         ref = EdgeRef(a, b)
         captured, succ = g._child(a, b)
         if captured:

@@ -282,4 +282,7 @@ def best_response_value(
         memo[key] = v
         return v
 
-    return val(g, policy.initial_state(g), "P1")
+    try:
+        return val(g, policy.initial_state(g), "P1")
+    finally:
+        del val  # it holds itself through its closure: a cycle for the collector

@@ -1,5 +1,6 @@
 """Canonical keys: refinement, soundness against a brute oracle, stability."""
 
+import gc
 import hashlib
 import random
 import struct
@@ -18,6 +19,8 @@ from strings_and_coins.canonical import (
 )
 from strings_and_coins import canonical
 from strings_and_coins.families import make
+from strings_and_coins.solver import SolveOptions, best_move, solve
+from strings_and_coins.strategies import balloon_mirror, best_response_value
 
 import support
 
@@ -312,10 +315,10 @@ def _move_class_positions():
     return positions
 
 
-def _check_left_out_classes(g, kept, ordered):
+def _check_left_out_classes(g, kept):
     """Every class of ``g`` missing from ``kept`` has a kept class with the
     same capture count and a child that ``are_isomorphic`` matches to its
-    own; with ``ordered``, a kept class that sorts before it."""
+    own."""
     sig = g.signature()
     assert set(kept) <= set(sig) and list(kept) == sorted(set(kept))
     children = {t: g._child(t[0], t[1]) for t in sig}
@@ -324,25 +327,59 @@ def _check_left_out_classes(g, kept, ordered):
             continue
         captured, succ = children[t]
         assert any(
-            children[r][0] == captured and (r < t or not ordered) and are_isomorphic(children[r][1], succ)
+            children[r][0] == captured and are_isomorphic(children[r][1], succ)
             for r in kept
         ), (sig, t)
 
 
 def test_move_classes_leave_out_only_isomorphic_children():
     """The classes search leaves out are judged by the independent oracle:
-    each repeats a kept class's capture count and child.  The root classes
-    of ``best_move`` also keep a class that sorts first."""
+    each repeats a kept class's capture count and child."""
     skipped = 0
     positions = _move_class_positions()
     for g in positions:
         kept = canonical.move_classes(g)
-        _check_left_out_classes(g, kept, ordered=False)
-        root = canonical.move_classes(g, swap_components=False)
-        _check_left_out_classes(g, root, ordered=True)
-        assert set(kept) <= set(root)
+        _check_left_out_classes(g, kept)
         skipped += len(g.signature()) - len(kept)
     assert len(positions) > 300 and skipped > 1000
+
+
+def _best_move_positions():
+    """The golden families, seeded random positions, and disjoint unions
+    of isomorphic components relabelled so that the least class of an
+    orbit may lie in the later component."""
+    rng = random.Random(20261020)
+    gs = [make(name, *params) for name, *params in _GOLDEN_FAMILIES]
+    gs += [support.random_graph(rng, max_vertices=8, max_edges=11, loop_chance=0.3) for _ in range(40)]
+    # the middle strings 7-8 and 2-3 share an orbit whose least class, 2-3,
+    # lies in the later component, which move classes leave out
+    twin_paths = LoopyMultigraph.from_edges([(0, 7), (7, 8), (8, 9), (1, 2), (2, 3), (3, 4)])
+    assert (2, 3, 1) not in canonical.move_classes(twin_paths)
+    gs.append(twin_paths)
+    for part in (make("path", 3), make("cycle", 4), make("friendship", 2), make("loopy_cycle", 4, 2)):
+        union = part.disjoint_union(part)
+        gs += [support.relabel(union, rng) for _ in range(4)]
+    return [g for g in gs if g.edge_count]
+
+
+def test_best_move_ignores_options():
+    """``best_move`` gives the same move and differential with the table
+    and pruning on or off.  The searches without the table run only where
+    they are quick: pruned up to 12 strings, bare up to 8."""
+    checked = 0
+    for g in _best_move_positions():
+        combos = [(True, True), (True, False)]
+        if g.edge_count <= 12:
+            combos.append((False, True))
+        if g.edge_count <= 8:
+            combos.append((False, False))
+            checked += 1
+        answers = set()
+        for memo, pruning in combos:
+            ref, gv = best_move(g, SolveOptions(memo=memo, pruning=pruning))
+            answers.add((ref, gv.differential))
+        assert len(answers) == 1, (g, answers)
+    assert checked > 50
 
 
 _twin_groups = st.lists(
@@ -423,6 +460,35 @@ def test_golden_key_digest():
         key = canonical_key(g)
         h.update(len(key).to_bytes(4, "little") + key)
     assert h.hexdigest() == _GOLDEN_DIGEST
+
+
+def test_no_cyclic_garbage():
+    """Keying, solving, best moves, best responses and the isomorphism
+    oracle leave no reference cycle behind: with the collector off, a full
+    collection afterwards finds nothing unreachable.  A cycle would wait
+    for a full collection, and those grow with the heap a long solve
+    holds."""
+    rng = random.Random(20261021)
+    gs = [make(name, *params) for name, *params in _GOLDEN_FAMILIES]
+    gs += [support.random_graph(rng, max_vertices=9, max_edges=14, loop_chance=0.3) for _ in range(100)]
+    relabelled = [support.relabel(g, rng) for g in gs]
+    searched = [make("prism", 5), make("friendship", 6), make("wheel", 7), make("complete", 6)]
+    mirror = balloon_mirror(6)
+    gc.collect()
+    gc.disable()
+    try:
+        canonical.clear_caches()
+        for g, h in zip(gs, relabelled):
+            assert canonical_key(g) == canonical_key(h)
+            assert are_isomorphic(g, h)
+        for g in searched:
+            solve(g)
+            best_move(g)
+        best_response_value(*mirror, "P1")
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def _split_by_search(g):

@@ -173,6 +173,20 @@ def test_cache_corrupt_tail_is_skipped(tmp_path):
     assert loaded.skipped == 1
 
 
+@pytest.mark.parametrize("append", [False, True])
+def test_value_too_wide_for_a_record_is_refused(tmp_path, append):
+    # a key of 2 bytes admits up to 65,535 coins, a record's value only an i16
+    path = tmp_path / "values.snc"
+    k = canonical_key(make("cycle", 3))
+    save_cache(str(path), {k: -3})
+    before = path.read_bytes()
+    for value in (40000, -32769):
+        with pytest.raises(ValueError, match=rf"{value}.*-32768\.\.32767"):
+            save_cache(str(path), {k: -3, b"\x00\x00": value}, append=append)
+        assert path.read_bytes() == before
+    assert save_cache(str(path), {b"\x00\x00": 32767}, append=True) == 1
+
+
 def test_cache_bad_magic(tmp_path):
     path = str(tmp_path / "values.snc")
     with open(path, "wb") as fh:

@@ -304,10 +304,10 @@ def test_search_trace_is_pinned(family, param, opts, expect):
 
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 177, 218),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 528, 743),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 1086, 1871),
-        ("friendship", 5): (EdgeRef(0, 1), -3, 44, 32),
+        ("complete", 6): (EdgeRef(0, 1), 4, 177, 232),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 528, 755),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 1086, 1878),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 44, 45),
     }
     for (family, param), want in expect.items():
         clear_caches()
