@@ -528,6 +528,9 @@ def check_key_limits(g: LoopyMultigraph) -> None:
     vertices = g.vertex_count
     if vertices > _U16_MAX:
         raise KeyLimitError(f"position has {vertices} vertices; canonical keys hold at most {_U16_MAX}")
+    # a multiplicity above the limit needs more strings than the limit
+    if g.edge_count <= _U16_MAX:
+        return
     multiplicity = max((m for _, _, m in g._sig), default=0)
     if multiplicity > _U16_MAX:
         raise KeyLimitError(

@@ -302,3 +302,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,8 +13,12 @@ Search options layer on top of that definition without changing it:
                     passed in ``table`` is used only with ``memo`` on.
 * ``pruning``    -- alpha-beta windows (shifted by captures), plus
                     clamping to the remaining-vertex bound |value| <= r.
-                    Table entries then carry EXACT/LOWER/UPPER flags in
-                    the usual fail-soft sense.
+                    Every move after the first is searched first with a
+                    null window, as in PVS/NegaScout (Reinefeld, 1983),
+                    and again, above that answer, only when the answer
+                    beats alpha but not beta.  A table entry then holds a
+                    (lower, upper) pair of fail-soft bounds that every
+                    visit tightens; without pruning every entry is exact.
 
 Any combination yields the same value; only the work differs.
 ``solve`` values one position, ``best_move`` also names an optimal move,
@@ -49,9 +53,6 @@ from .graph import EdgeRef, LoopyMultigraph
 
 if TYPE_CHECKING:
     from .families import FamilySpec
-
-EXACT, LOWER, UPPER = 0, 1, 2
-
 
 class SolveBudgetExceeded(RuntimeError):
     """Raised when a solve outruns its time budget.
@@ -95,12 +96,14 @@ def _check_searchable(g: LoopyMultigraph) -> None:
 
 
 class TranspositionTable:
-    """Canonical key -> (flag, value) store.
+    """Canonical key -> (lower, upper) bounds on the position's value.
 
-    Entries loaded from a persistent cache are exact by construction and
-    kept apart; ``fresh_exact_items`` yields only entries proven during
-    this table's lifetime, in the order they were last stored: what gets
-    persisted back.
+    ``put`` intersects new bounds with the stored ones, so an entry only
+    tightens; it is exact once the two are equal.  Entries loaded from a
+    persistent cache are exact by construction, kept apart and read as
+    (v, v); ``fresh_exact_items`` yields only the exact entries proven
+    during this table's lifetime, in the order they were last stored:
+    what gets persisted back.
     """
 
     def __init__(self):
@@ -119,18 +122,22 @@ class TranspositionTable:
     def get(self, key: bytes) -> tuple[int, int] | None:
         v = self._seed.get(key)
         if v is not None:
-            return (EXACT, v)
+            return (v, v)
         return self._store.get(key)
 
-    def put(self, key: bytes, flag: int, value: int) -> None:
+    def put(self, key: bytes, lo: int, hi: int) -> None:
         if key in self._seed:
             return
-        if key in self._store:
-            del self._store[key]
-        self._store[key] = (flag, value)
+        old = self._store.pop(key, None)
+        if old is not None:
+            if old[0] > lo:
+                lo = old[0]
+            if old[1] < hi:
+                hi = old[1]
+        self._store[key] = (lo, hi)
 
     def fresh_exact_items(self) -> list[tuple[bytes, int]]:
-        return [(k, v) for k, (f, v) in self._store.items() if f == EXACT]
+        return [(k, lo) for k, (lo, hi) in self._store.items() if lo == hi]
 
 
 @dataclass
@@ -217,6 +224,12 @@ class _Searcher:
         order of the tried classes plays no part, so it does not matter
         that a class left out for a repeated component may sort before the
         one tried in its place.
+
+        With pruning on, a stored (lower, upper) pair that does not settle
+        the node narrows its window.  Narrowing keeps the result sound:
+        the true value lies between the stored bounds, so a result that
+        fails low against a raised alpha or high against a lowered beta
+        is exactly that bound.
         """
         if g.edge_count == 0:
             return 0
@@ -240,23 +253,21 @@ class _Searcher:
             key = canonical.canonical_key(g, deadline)
             hit = table.get(key)
             if hit is not None:
-                flag, v = hit
-                if flag == EXACT:
+                lo, hi = hit
+                if lo == hi:
                     self.stats.memo_hits += 1
-                    return v
+                    return lo
                 if pruning:
-                    if flag == LOWER:
-                        if v >= b:
-                            self.stats.memo_hits += 1
-                            return v
-                        if v > a:
-                            a = v
-                    else:
-                        if v <= a:
-                            self.stats.memo_hits += 1
-                            return v
-                        if v < b:
-                            b = v
+                    if lo >= b:
+                        self.stats.memo_hits += 1
+                        return lo
+                    if hi <= a:
+                        self.stats.memo_hits += 1
+                        return hi
+                    if lo > a:
+                        a = lo
+                    if hi < b:
+                        b = hi
             moves = canonical.move_classes(g, deadline)
         else:
             key = b""
@@ -265,14 +276,26 @@ class _Searcher:
         self.stats.symmetric_skips += len(g.signature()) - len(moves)
         a0 = a
         best = -(1 << 30)
+        null = False
         # children are built in move order only when reached, so none is
         # built past a cutoff
         for t in self._move_order(g, moves):
             captured, succ = g._child(t[0], t[1])
+            # after the first move, the null window (a, a + 1) asks only
+            # whether a move beats a.  A fail-soft answer v inside (a, b)
+            # is a lower bound, so the search again looks only above v;
+            # an answer there is an upper bound when at or below v, so
+            # then it is v itself
+            top = a + 1 if null else b
             if captured:
-                v = captured + self.search(succ, a - captured, b - captured)
+                v = captured + self.search(succ, a - captured, top - captured)
+                if null and a < v < b:
+                    v = captured + self.search(succ, v - captured, b - captured)
             else:
-                v = -self.search(succ, -b, -a)
+                v = -self.search(succ, -top, -a)
+                if null and a < v < b:
+                    v = -self.search(succ, -b, -v)
+            null = pruning
             if v > best:
                 best = v
                 if v > a:
@@ -281,15 +304,15 @@ class _Searcher:
                         break
         if table is not None:
             # a fail-low value is an upper bound and a fail-high value a
-            # lower bound; meeting the vertex-count bound |v| <= r from
-            # either side pins the value exactly
-            if not pruning or (a0 < best < b) or best == -r or best == r:
-                flag = EXACT
+            # lower bound, with |v| <= r on the other side; ``put`` meets
+            # them with the stored bounds, so an entry ends up exact once
+            # its two bounds meet
+            if not pruning or a0 < best < b:
+                table.put(key, best, best)
             elif best <= a0:
-                flag = UPPER
+                table.put(key, -r, best)
             else:
-                flag = LOWER
-            table.put(key, flag, best)
+                table.put(key, best, r)
         return best
 
 

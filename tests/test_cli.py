@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -180,6 +182,23 @@ def test_table_tsv_single_header():
     assert len(lines) == 5
     assert lines[0].startswith("family\t")
     assert sum(ln.startswith("family\t") for ln in lines) == 1
+
+
+@pytest.mark.parametrize("module", ["strings_and_coins", "strings_and_coins.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    src = os.path.dirname(os.path.dirname(claims.__file__))
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "table", "--family", "wheel", "--from", "3", "--to", "4"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = tsv_rows(proc.stdout)
+    assert [(r["parameters"], r["winner"], r["p1"], r["p2"]) for r in rows] == [
+        ("3", "P2", "0", "4"),
+        ("4", "P1", "4", "1"),
+    ]
 
 
 @pytest.mark.parametrize(

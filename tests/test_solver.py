@@ -119,6 +119,37 @@ def test_parity_and_bound_invariants_in_memo():
     assert checked > 0
 
 
+def test_table_bounds_hold_the_blind_value(monkeypatch):
+    """Pruned, null-window search through one shared table stores bounds
+    that bracket each position's blind value, and exact entries equal it."""
+    # memoise the blind recursion on labelled signatures, which keeps it
+    # blind to canonical keys and makes one call per decoded entry cheap
+    blind = support.brute_value
+    memo = {}
+
+    def brute(g):
+        sig = g.signature()
+        if sig not in memo:
+            memo[sig] = blind(g)
+        return memo[sig]
+
+    monkeypatch.setattr(support, "brute_value", brute)
+    table = TranspositionTable()
+    opts = SolveOptions(table=table)
+    golden = [("complete", 5), ("wheel", 6), ("friendship", 4), ("prism", 4), ("ferris_wheel", 4)]
+    for g in support.random_suite() + [make(f, p) for f, p in golden]:
+        solve(g, opts)
+    exact = set()
+    for key, (lo, hi) in table._store.items():
+        assert lo <= hi, key
+        v = support.brute_value(support.graph_from_key(key))
+        assert lo <= v <= hi, (key, lo, hi, v)
+        if lo == hi:
+            exact.add(key)
+    assert {k for k, _ in table.fresh_exact_items()} == exact
+    assert 0 < len(exact) < len(table._store)
+
+
 def test_memo_reuse_across_solves():
     table = TranspositionTable()
     opts = SolveOptions(table=table)
@@ -283,13 +314,13 @@ def test_stats_populated():
 # tries moves, to the moves it tries, or to where it cuts off, shows up
 # here.
 _SEARCH_TRACE = [
-    ("complete", 6, SolveOptions(), (4, 178, 218)),
-    ("prism", 5, SolveOptions(), (6, 459, 549)),
-    ("wheel", 7, SolveOptions(), (-4, 518, 720)),
-    ("balloon_path", 8, SolveOptions(), (0, 891, 1266)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 511, 703)),
-    ("friendship", 5, SolveOptions(), (-3, 44, 30)),
-    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 1028, 0)),
+    ("complete", 6, SolveOptions(), (4, 145, 167)),
+    ("prism", 5, SolveOptions(), (6, 436, 487)),
+    ("wheel", 7, SolveOptions(), (-4, 423, 493)),
+    ("balloon_path", 8, SolveOptions(), (0, 812, 1122)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 425, 538)),
+    ("friendship", 5, SolveOptions(), (-3, 48, 33)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 876, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
 _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
@@ -302,12 +333,23 @@ def test_search_trace_is_pinned(family, param, opts, expect):
     assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == expect
 
 
+@pytest.mark.parametrize("family,params", [("complete", (6,)), ("complete", (7,)), ("prism", (5,)), ("petersen", ())],
+                         ids=["complete6", "complete7", "prism5", "petersen"])
+def test_pruning_expands_no_more_nodes(family, params):
+    # complete(5) is left out: pruned search still expands 35 nodes to 33
+    g = make(family, *params)
+    pruned = solve(g)
+    plain = solve(g, SolveOptions(pruning=False))
+    assert pruned.differential == plain.differential
+    assert pruned.stats.nodes <= plain.stats.nodes
+
+
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 177, 232),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 528, 755),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 1086, 1878),
-        ("friendship", 5): (EdgeRef(0, 1), -3, 44, 45),
+        ("complete", 6): (EdgeRef(0, 1), 4, 144, 181),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 466, 616),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 867, 1308),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 48, 48),
     }
     for (family, param), want in expect.items():
         clear_caches()
