@@ -39,7 +39,6 @@ from .solver import (
     solve,
 )
 from .strategies import (
-    OptimalPolicy,
     PairedMirrorPolicy,
     PolicyFault,
     balloon_mirror,
@@ -78,7 +77,6 @@ __all__ = [
     "iter_table",
     "scores_from_value",
     "solve",
-    "OptimalPolicy",
     "PairedMirrorPolicy",
     "PolicyFault",
     "balloon_mirror",

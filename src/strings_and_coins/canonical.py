@@ -45,10 +45,13 @@ Components are split off in one pass over the signature.  Component
 forms are combined by sorting them and relabeling into one vertex range,
 so a disjoint union's key is a pure function of the component keys; each
 form's triples are sorted and its labels lie above those of every earlier
-form, so the combined triples need no sort.  Two content-addressed
-caches, one entry per key, make repeated positions cheap during search:
-by labelled signature, a position's key and move classes; by local
-triples, a component's form and orbit representatives.
+form, so the combined triples need no sort.  A ``KeyCache`` holds two
+content-addressed caches, one entry per key, that make repeated positions
+cheap during search: by labelled signature, a position's key and move
+classes; by local triples, a component's form and orbit representatives.
+Each ``solver.TranspositionTable`` owns one, so a solve's keying state
+lives and dies with its table; calls that pass no cache share one module
+cache, which ``clear_caches`` empties.
 
 The automorphisms the search finds serve a fourth use, move classes.
 With the twin transpositions they generate a group of the component,
@@ -71,9 +74,6 @@ from .graph import LoopyMultigraph
 
 _CACHE_CAP = 1 << 21  # entries per cache; a full cache is cleared
 
-_comp_cache: dict[tuple, tuple] = {}  # (n, local triples) -> (serialisation, orbit representatives)
-_graph_cache: dict[tuple, tuple] = {}  # labelled signature -> (key, move classes)
-
 _U16_MAX = 0xFFFF  # widest vertex count, label or multiplicity a key can hold
 
 
@@ -81,9 +81,29 @@ class KeyLimitError(ValueError):
     """Position too large for the u16 fields of the canonical key layout."""
 
 
+class KeyCache:
+    """The two keying caches, one entry per key, each cleared when it
+    reaches ``_CACHE_CAP`` entries: by labelled signature, a position's
+    (key, move classes); by (vertex count, local triples), a component's
+    (serialisation, orbit representatives)."""
+
+    __slots__ = ("graphs", "comps")
+
+    def __init__(self) -> None:
+        self.graphs: dict[tuple, tuple] = {}
+        self.comps: dict[tuple, tuple] = {}
+
+    def clear(self) -> None:
+        self.graphs.clear()
+        self.comps.clear()
+
+
+_default_cache = KeyCache()  # for calls that pass no cache
+
+
 def clear_caches() -> None:
-    _comp_cache.clear()
-    _graph_cache.clear()
+    """Empty the cache that calls passing no ``KeyCache`` share."""
+    _default_cache.clear()
 
 
 # -- color refinement --------------------------------------------------------
@@ -450,15 +470,16 @@ def _class_orbit_reps(triples: tuple, autos: list, twin: list[int]) -> tuple[int
     return None if len(reps) == len(triples) else tuple(reps)
 
 
-def _component_form(n: int, triples: tuple, deadline: float | None) -> tuple:
-    """``_canon_search(n, triples)``, through the component cache."""
+def _component_form(n: int, triples: tuple, deadline: float | None, cache: KeyCache) -> tuple:
+    """``_canon_search(n, triples)``, through ``cache``."""
+    comps = cache.comps
     key = (n, triples)
-    found = _comp_cache.get(key)
+    found = comps.get(key)
     if found is None:
         found = _canon_search(n, triples, deadline)
-        if len(_comp_cache) >= _CACHE_CAP:
-            _comp_cache.clear()
-        _comp_cache[key] = found
+        if len(comps) >= _CACHE_CAP:
+            comps.clear()
+        comps[key] = found
     return found
 
 
@@ -554,7 +575,7 @@ def _combine_forms(forms: list[tuple[int, tuple]]) -> bytes:
     return key_fields(2 * len(fields)).pack(*fields)
 
 
-def canonical_key(g: LoopyMultigraph, deadline: float | None = None) -> bytes:
+def canonical_key(g: LoopyMultigraph, deadline: float | None = None, cache: KeyCache | None = None) -> bytes:
     """Byte key equal for isomorphic positions, distinct otherwise.
 
     Layout: little-endian u16 vertex count, then sorted (u16 u, u16 v,
@@ -562,15 +583,13 @@ def canonical_key(g: LoopyMultigraph, deadline: float | None = None) -> bytes:
     (v, v, multiplicity).  Raises ``KeyLimitError`` when the vertex count
     or a multiplicity does not fit in a u16 field, and
     ``solver.SolveBudgetExceeded`` when the key is not found before
-    ``time.monotonic()`` passes ``deadline``, if one is given.
+    ``time.monotonic()`` passes ``deadline``, if one is given.  Keys
+    through ``cache``, or the module's own cache when none is given.
     """
-    entry = _graph_cache.get(g.signature())
-    if entry is None:
-        entry = _key_graph(g, deadline)
-    return entry[0]
+    return _graph_entry(g, deadline, cache)[0]
 
 
-def move_classes(g: LoopyMultigraph, deadline: float | None = None) -> tuple:
+def move_classes(g: LoopyMultigraph, deadline: float | None = None, cache: KeyCache | None = None) -> tuple:
     """The signature triples of ``g`` that a search must try, in signature
     order: the least class of each orbit of the automorphisms found while
     keying ``g``, and no class of a component isomorphic to an earlier
@@ -579,23 +598,32 @@ def move_classes(g: LoopyMultigraph, deadline: float | None = None) -> tuple:
     out.  Read from the same cache entry as ``canonical_key``; raises as
     it does.
     """
-    entry = _graph_cache.get(g.signature())
+    return _graph_entry(g, deadline, cache)[1]
+
+
+def _graph_entry(g: LoopyMultigraph, deadline: float | None, cache: KeyCache | None) -> tuple:
+    """The whole-graph cache entry of ``g``, (key, move classes), keying
+    ``g`` only when ``cache`` (by default the module's) lacks it."""
+    if cache is None:
+        cache = _default_cache
+    entry = cache.graphs.get(g.signature())
     if entry is None:
-        entry = _key_graph(g, deadline)
-    return entry[1]
+        entry = _key_graph(g, deadline, cache)
+    return entry
 
 
-def _key_graph(g: LoopyMultigraph, deadline: float | None) -> tuple:
-    """Key ``g``, and store and return its whole-graph cache entry: (key,
-    move classes)."""
+def _key_graph(g: LoopyMultigraph, deadline: float | None, cache: KeyCache) -> tuple:
+    """Key ``g``, and store and return its whole-graph entry in ``cache``:
+    (key, move classes)."""
     check_key_limits(g)
     sig = g.signature()
     comps = _component_local_triples(g)
-    found = [_component_form(n, t, deadline) for n, t, _ in comps]
+    found = [_component_form(n, t, deadline, cache) for n, t, _ in comps]
     key = _combine_forms([(n, form) for (n, _, _), (form, _) in zip(comps, found)])
-    if len(_graph_cache) >= _CACHE_CAP:
-        _graph_cache.clear()
-    entry = _graph_cache[sig] = (key, _move_classes(sig, comps, found))
+    graphs = cache.graphs
+    if len(graphs) >= _CACHE_CAP:
+        graphs.clear()
+    entry = graphs[sig] = (key, _move_classes(sig, comps, found))
     return entry
 
 

@@ -11,6 +11,9 @@ Search options layer on top of that definition without changing it:
 * ``memo``       -- transposition table keyed by canonical form, so all
                     relabelings of a position share one entry.  A table
                     passed in ``table`` is used only with ``memo`` on.
+                    The table owns the keying caches too, so nothing a
+                    solve keys outlives its table or reaches another
+                    solve that does not share it.
 * ``pruning``    -- alpha-beta windows (shifted by captures), plus
                     clamping to the remaining-vertex bound |value| <= r.
                     Every move after the first is searched first with a
@@ -35,8 +38,9 @@ sibling's is neither built nor keyed; without the table nothing is
 keyed, and every class is tried.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
-refuse, with ``DepthLimitError``, a position whose strings would not fit
-under ``sys.getrecursionlimit()`` together with canonical keying's own
+(and ``strategies.best_response_value``, through ``check_depth``) refuse,
+with ``DepthLimitError``, a position whose strings would not fit under
+``sys.getrecursionlimit()`` together with canonical keying's own
 recursion.
 """
 
@@ -84,6 +88,12 @@ _STACK_MARGIN = 150
 
 def _check_searchable(g: LoopyMultigraph) -> None:
     canonical.check_key_limits(g)
+    check_depth(g)
+
+
+def check_depth(g: LoopyMultigraph) -> None:
+    """Raise ``DepthLimitError`` when a search of ``g`` that recurses once
+    per cut string could outgrow ``sys.getrecursionlimit()``."""
     # One search frame per cut string; keying a position below that
     # recurses once per individualised vertex, at most its vertex count.
     need = g.edge_count + g.vertex_count + _STACK_MARGIN
@@ -102,13 +112,17 @@ class TranspositionTable:
     tightens; it is exact once the two are equal.  Entries loaded from a
     persistent cache are exact by construction, kept apart and read as
     (v, v); ``fresh_exact_items`` yields only the exact entries proven
-    during this table's lifetime, in the order they were last stored:
-    what gets persisted back.
+    during this table's lifetime: what gets persisted back.
+
+    The table owns ``keys``, the ``canonical.KeyCache`` that every search
+    through it keys positions with, so keying work is shared exactly when
+    the table is and is dropped with it.
     """
 
     def __init__(self):
         self._seed: dict[bytes, int] = {}
         self._store: dict[bytes, tuple[int, int]] = {}
+        self.keys = canonical.KeyCache()
 
     def __len__(self) -> int:
         return len(self._store) + len(self._seed)
@@ -128,7 +142,7 @@ class TranspositionTable:
     def put(self, key: bytes, lo: int, hi: int) -> None:
         if key in self._seed:
             return
-        old = self._store.pop(key, None)
+        old = self._store.get(key)
         if old is not None:
             if old[0] > lo:
                 lo = old[0]
@@ -193,8 +207,12 @@ class _Searcher:
         self.opts = opts
         if opts.memo:
             self.table = opts.table if opts.table is not None else TranspositionTable()
+            self.keys = self.table.keys
         else:
+            # nothing is keyed during the search: only ``best_move``'s
+            # tie-break reads this
             self.table = None
+            self.keys = canonical.KeyCache()
         self.stats = SearchStats()
         self.deadline = deadline
 
@@ -250,7 +268,7 @@ class _Searcher:
             a, b = -r, r
         table = self.table
         if table is not None:
-            key = canonical.canonical_key(g, deadline)
+            key = canonical.canonical_key(g, deadline, self.keys)
             hit = table.get(key)
             if hit is not None:
                 lo, hi = hit
@@ -268,7 +286,7 @@ class _Searcher:
                         a = lo
                     if hi < b:
                         b = hi
-            moves = canonical.move_classes(g, deadline)
+            moves = canonical.move_classes(g, deadline, self.keys)
         else:
             key = b""
             moves = g.signature()
@@ -375,7 +393,7 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
             v = captured + searcher.search(succ, -n, n)
         else:
             v = -searcher.search(succ, -n, n)
-        key = canonical.canonical_key(succ, searcher.deadline)
+        key = canonical.canonical_key(succ, searcher.deadline, searcher.keys)
         if best_v is None or v > best_v or (v == best_v and key < best_key):
             best_v, best_ref, best_key = v, ref, key
     searcher.stats.elapsed = time.perf_counter() - t0
@@ -395,7 +413,8 @@ def iter_table(
 
     The range varies the family's first parameter from ``start`` to
     ``stop`` inclusive; ``fixed`` supplies any remaining parameters.
-    Positions recur across rows, so rows share a transposition table.
+    Positions recur across rows, so rows share a transposition table
+    and the key caches it owns.
     ``opts.time_budget`` covers the whole range: each row gets the time
     the rows before it left.  A budget abort raises ``SolveBudgetExceeded``
     with ``parameter`` naming the row that did not finish.

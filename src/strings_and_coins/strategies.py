@@ -16,9 +16,8 @@ sets, with a take-everything clause once the position is a forest).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import EdgeRef, LoopyMultigraph, MoveOutcome
+from .solver import check_depth
 
 
 class PolicyFault(RuntimeError):
@@ -30,36 +29,6 @@ Pair = tuple[int, int]
 
 def _norm(a: int, b: int) -> Pair:
     return (a, b) if a <= b else (b, a)
-
-
-class OptimalPolicy:
-    """Plays a solver-optimal move; the baseline every policy is judged against."""
-
-    name = "optimal"
-
-    def __init__(self) -> None:
-        from .solver import SolveOptions
-
-        self._opts = SolveOptions()
-
-    def initial_state(self, g: LoopyMultigraph) -> tuple:
-        return ()
-
-    def choose(self, state: tuple, g: LoopyMultigraph) -> EdgeRef:
-        from .solver import best_move
-
-        ref, _ = best_move(g, self._opts)
-        return ref
-
-    def observe(
-        self,
-        state: tuple,
-        g_before: LoopyMultigraph,
-        by_policy: bool,
-        move: Pair,
-        outcome: MoveOutcome,
-    ) -> tuple:
-        return ()
 
 
 class PairedMirrorPolicy:
@@ -243,10 +212,13 @@ def best_response_value(
 
     Positions are memoized together with the policy state and the player
     to move, so the adversary's exhaustive search shares work across
-    transpositions.
+    transpositions.  It recurses once per cut string, and a policy may
+    search below that, so a position too deep for ``solve`` raises
+    ``solver.DepthLimitError`` here too, before any move is played.
     """
     if controlled not in ("P1", "P2"):
         raise ValueError("controlled must be 'P1' or 'P2'")
+    check_depth(g)
     memo: dict = {}
 
     def val(g: LoopyMultigraph, state: tuple, to_move: str) -> int:

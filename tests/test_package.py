@@ -23,7 +23,6 @@ PUBLIC = [
     "KeyLimitError",
     "LoopyMultigraph",
     "MoveOutcome",
-    "OptimalPolicy",
     "PairedMirrorPolicy",
     "ParameterError",
     "PolicyFault",

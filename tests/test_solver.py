@@ -6,6 +6,7 @@ import time
 import pytest
 
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
+from strings_and_coins import canonical
 from strings_and_coins.canonical import canonical_key, clear_caches, unpack_key
 from strings_and_coins.families import make
 from strings_and_coins.solver import (
@@ -187,11 +188,33 @@ def test_time_budget_abort():
 def test_time_budget_covers_keying(search):
     # keying the rigid multipede alone takes many seconds: only a clock
     # read inside the keying search can stop it
-    clear_caches()
     start = time.monotonic()
     with pytest.raises(SolveBudgetExceeded):
         search(support.multipede(40, 1), SolveOptions(time_budget=0.2))
     assert time.monotonic() - start < 2
+
+
+def test_budgeted_abort_does_not_depend_on_earlier_solves():
+    # a solve keys through its own table, so a warm solve of the same
+    # position earlier in the process cannot speed a later budgeted one
+    budget = SolveOptions(time_budget=0.5)
+    with pytest.raises(SolveBudgetExceeded):
+        solve(make("complete", 8), budget)
+    solve(make("complete", 8))
+    with pytest.raises(SolveBudgetExceeded):
+        solve(make("complete", 8), budget)
+
+
+def test_solves_leave_the_module_key_cache_empty():
+    clear_caches()
+    g = make("wheel", 6)
+    solve(g)
+    solve(g, SolveOptions(memo=False))
+    best_move(g)
+    best_move(g, SolveOptions(memo=False))
+    list(iter_table("friendship", 1, 3))
+    assert not canonical._default_cache.graphs
+    assert not canonical._default_cache.comps
 
 
 def test_iter_table_rows_and_shared_progress():
@@ -297,7 +320,6 @@ def test_symmetric_skips(monkeypatch):
         return child(self, a, b)
 
     monkeypatch.setattr(LoopyMultigraph, "_child", spy)
-    clear_caches()
     gv = solve(g)
     assert len(g.signature()) == 15 and tried == [(0, 1)]
     assert gv.stats.symmetric_skips >= 14
@@ -328,7 +350,6 @@ _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, 
 
 @pytest.mark.parametrize("family,param,opts,expect", _SEARCH_TRACE, ids=_TRACE_IDS)
 def test_search_trace_is_pinned(family, param, opts, expect):
-    clear_caches()
     gv = solve(make(family, param), opts)
     assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == expect
 
@@ -352,6 +373,5 @@ def test_best_move_is_pinned():
         ("friendship", 5): (EdgeRef(0, 1), -3, 48, 48),
     }
     for (family, param), want in expect.items():
-        clear_caches()
         ref, gv = best_move(make(family, param))
         assert (ref, gv.differential, gv.stats.nodes, gv.stats.memo_hits) == want

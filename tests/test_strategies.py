@@ -6,9 +6,8 @@ import pytest
 
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins.families import make
-from strings_and_coins.solver import solve
+from strings_and_coins.solver import DepthLimitError, solve
 from strings_and_coins.strategies import (
-    OptimalPolicy,
     PairedMirrorPolicy,
     PolicyFault,
     balloon_mirror,
@@ -48,8 +47,8 @@ def small_suite(count=40, seed=99321):
 def test_optimal_policy_achieves_game_value_both_sides():
     for g in small_suite(25):
         expect = solve(g).differential
-        assert best_response_value(g, OptimalPolicy(), controlled="P1") == expect
-        assert best_response_value(g, OptimalPolicy(), controlled="P2") == expect
+        assert best_response_value(g, support.OptimalPolicy(), controlled="P1") == expect
+        assert best_response_value(g, support.OptimalPolicy(), controlled="P2") == expect
 
 
 def test_no_policy_beats_optimal():
@@ -77,6 +76,15 @@ def test_policy_fault_on_illegal_choice():
 
     with pytest.raises(PolicyFault):
         best_response_value(make("cycle", 3), Broken())
+
+
+def test_best_response_refuses_too_deep_position():
+    # 1,401 strings: solve refuses the same position
+    g, pol = mirror_policy(make("cycle", 700))
+    with pytest.raises(DepthLimitError):
+        solve(g)
+    with pytest.raises(DepthLimitError):
+        best_response_value(g, pol, "P1")
 
 
 def test_doubled_graph_shape():
