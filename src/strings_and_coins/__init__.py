@@ -22,7 +22,6 @@ from .io_cache import (
     parse_edge_list,
     read_edge_list,
     save_cache,
-    write_edge_list,
 )
 from .solver import (
     DepthLimitError,
@@ -98,5 +97,4 @@ __all__ = [
     "parse_edge_list",
     "read_edge_list",
     "save_cache",
-    "write_edge_list",
 ]

@@ -74,14 +74,20 @@ class _Emitter:
         self.out.flush()
 
 
+def _family_args(tokens: list[str]) -> tuple[str, tuple[int, ...]]:
+    """``--family NAME PARAM...`` as the name and its integer parameters."""
+    params = []
+    for p in tokens[1:]:
+        try:
+            params.append(int(p))
+        except ValueError:
+            raise ParameterError(f"family parameters must be integers, got {p!r}") from None
+    return tokens[0], tuple(params)
+
+
 def _load_position(args: argparse.Namespace) -> tuple[str, tuple[int, ...], LoopyMultigraph]:
     if args.family:
-        name, raw = args.family[0], args.family[1:]
-        try:
-            params = tuple(int(p) for p in raw)
-        except ValueError:
-            raise ParameterError(f"family parameters must be integers, got {raw}")
-        spec = parse_family(name, params)
+        spec = parse_family(*_family_args(args.family))
         return spec.family, spec.params, generate(spec)
     g = io_cache.read_edge_list(args.edges)
     return "custom", (), g
@@ -144,12 +150,7 @@ def _cmd_bestmove(args, out, err) -> int:
 
 
 def _cmd_table(args, out, err) -> int:
-    name, raw = args.family[0], args.family[1:]
-    try:
-        fixed = tuple(int(p) for p in raw)
-    except ValueError:
-        print(f"error: family parameters must be integers, got {raw}", file=err)
-        return 2
+    name, fixed = _family_args(args.family)
     if args.start > args.stop:
         print(f"error: --from {args.start} exceeds --to {args.stop}", file=err)
         return 2

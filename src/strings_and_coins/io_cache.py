@@ -13,13 +13,16 @@ that fails is skipped and counted; a length field that runs past the end
 of the file, or a tail too short to hold one, ends the load with one
 more skip, so a crash mid-write never poisons earlier results.
 
-An append encodes its whole batch first and writes it with a single
-``write`` under an exclusive ``flock``; a load reads under a shared one.
-A compaction holds the exclusive lock from its read to its rename, and a
-locker that finds the file renamed over meanwhile opens the new one.
-Concurrent ``snc`` runs, compactions included, may therefore share one
-cache file: no record is split by another writer's, no load sees half an
-append, and no append is lost to a compaction.
+Every access locks ``PATH.lock``, an empty file beside the cache that
+nothing writes or renames, before it opens the cache: a load takes a
+shared ``flock``, an append or a compaction an exclusive one.  An append
+encodes its whole batch first and writes it with a single ``write``; a
+compaction holds its lock from its read to its rename.  Concurrent
+``snc`` runs, compactions included, may therefore share one cache file:
+no record is split by another writer's, no load sees half an append or
+a file created but not yet written, and no append is lost to a
+compaction.  A cache whose directory neither holds ``PATH.lock`` nor
+lets it be created cannot be read: the lock raises ``OSError``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import operator
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 try:
@@ -80,14 +84,6 @@ def read_edge_list(path: str) -> LoopyMultigraph:
     return parse_edge_list(text)
 
 
-def write_edge_list(g: LoopyMultigraph, path: str) -> None:
-    """Write one line per edge instance, sorted, parallel edges repeated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ref, m in g.edge_pairs():
-            for _ in range(m):
-                fh.write(f"{ref.u} {ref.v}\n")
-
-
 @dataclass
 class CacheLoad:
     """Entries read from a cache file, a count of records dropped, and
@@ -98,25 +94,27 @@ class CacheLoad:
     records: int = 0
 
 
-def _open_locked(path: str, mode: str, exclusive: bool):
-    """Open ``path`` and ``flock`` it, shared or exclusive; if a compaction
-    replaced the file while the lock was awaited, open the new one instead."""
-    while True:
-        fh = open(path, mode)
-        if fcntl is None:
-            return fh
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        try:
-            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
-                return fh
-        except FileNotFoundError:
-            pass
-        fh.close()
+@contextmanager
+def _locked(path: str, exclusive: bool):
+    """Hold a shared or exclusive ``flock`` on ``PATH.lock``, created empty
+    if missing.  A compaction renames a new cache over ``path``, never over
+    the lock file, so every locker waits on the same inode."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(path + ".lock", os.O_RDONLY | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+    finally:
+        os.close(fd)
 
 
 def load_cache(path: str) -> CacheLoad:
-    """Read a value cache; tolerate and count a corrupt or truncated tail."""
-    with _open_locked(path, "rb", exclusive=False) as fh:
+    """Read a value cache under a shared lock; tolerate and count a corrupt
+    or truncated tail.  Raises ``OSError`` when ``PATH.lock`` neither exists
+    nor can be created."""
+    with _locked(path, exclusive=False), open(path, "rb") as fh:
         return _parse_cache(fh.read(), path)
 
 
@@ -163,9 +161,10 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     the number of records written.  Raises ``ValueError``, before writing
     anything, for a value outside a record's i16 field.
 
-    The records go out as one buffer in one ``write``; an append holds an
-    exclusive ``flock`` on the file meanwhile, so concurrent appenders
-    never split each other's records.
+    The records go out as one buffer in one ``write``.  An append locks
+    ``PATH.lock`` exclusively before it opens the cache and closes the
+    cache before it unlocks, so concurrent appenders never split each
+    other's records and a load never sees the file empty.
     """
     items = entries.items() if isinstance(entries, dict) else entries
     buf = bytearray()
@@ -181,12 +180,11 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
         with open(path, "wb") as fh:
             fh.write(MAGIC + buf)
         return count
-    with _open_locked(path, "ab", exclusive=True) as fh:
+    with _locked(path, exclusive=True), open(path, "ab") as fh:
         # under the lock, an empty file is new: it gets the magic first
         if fh.seek(0, os.SEEK_END) == 0:
             buf[:0] = MAGIC
         fh.write(buf)
-        fh.flush()
     return count
 
 
@@ -196,9 +194,9 @@ def compact_cache(path: str) -> tuple[int, int]:
     Returns (records before, records after): a 1-3 byte fragment too
     short to hold a length field is not a record.  The rewrite goes
     through a temp file and an atomic rename, all under an exclusive
-    ``flock`` on the old file, so no append lands on it unseen.
+    lock on ``PATH.lock``, so no append lands on the old file unseen.
     """
-    with _open_locked(path, "rb", exclusive=True) as fh:
+    with _locked(path, exclusive=True), open(path, "rb") as fh:
         loaded = _parse_cache(fh.read(), path)
         tmp = path + ".tmp"
         save_cache(tmp, dict(sorted(loaded.entries.items())))

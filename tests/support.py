@@ -65,6 +65,14 @@ def graph_from_key(key: bytes) -> LoopyMultigraph:
     return LoopyMultigraph.from_edges([(a, b) for a, b, m in triples for _ in range(m)])
 
 
+def write_edge_list(g: LoopyMultigraph, path: str) -> None:
+    """Write one line per edge instance, sorted, parallel edges repeated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for ref, m in g.edge_pairs():
+            for _ in range(m):
+                fh.write(f"{ref.u} {ref.v}\n")
+
+
 def components(g: LoopyMultigraph) -> list[list[int]]:
     """Connected components by breadth-first search, as sorted vertex
     lists in order of least vertex."""

@@ -70,8 +70,7 @@ def test_solve_edges_file(tmp_path):
 def test_solve_edges_budget_covers_keying(tmp_path):
     # keying the rigid multipede alone takes many seconds
     pos = tmp_path / "pos.txt"
-    g = support.multipede(40, 1)
-    pos.write_text("".join(f"{ref.u} {ref.v}\n" for ref, m in g.edge_pairs() for _ in range(m)))
+    support.write_edge_list(support.multipede(40, 1), str(pos))
     start = time.monotonic()
     code, out, err = invoke("solve", "--edges", str(pos), "--time-budget", "0.5")
     assert time.monotonic() - start < 2
@@ -141,6 +140,17 @@ def test_solve_bad_parameter_count():
     code, _, err = invoke("solve", "--family", "complete_bipartite", "2")
     assert code == 2
     assert "error" in err
+
+
+def test_non_integer_family_parameter_is_refused_alike():
+    runs = [
+        invoke("solve", "--family", "loopy_cycle", "5", "x"),
+        invoke("bestmove", "--family", "loopy_cycle", "5", "x"),
+        invoke("table", "--family", "loopy_cycle", "x", "--from", "4", "--to", "5"),
+    ]
+    assert {(code, out) for code, out, _ in runs} == {(2, "")}
+    assert len({err for _, _, err in runs}) == 1
+    assert runs[0][2].startswith("error: family parameters must be integers, got 'x'\n")
 
 
 def test_bestmove_reports_move_and_value():

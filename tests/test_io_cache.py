@@ -20,9 +20,10 @@ from strings_and_coins.io_cache import (
     parse_edge_list,
     read_edge_list,
     save_cache,
-    write_edge_list,
 )
 from strings_and_coins.solver import SolveOptions, TranspositionTable, solve
+
+import support
 
 
 def test_parse_edge_list_basics():
@@ -46,7 +47,7 @@ def test_parse_edge_list_errors_carry_line_numbers():
 def test_edge_list_round_trip(tmp_path):
     g = make("loopy_cycle", 5, 2)
     path = str(tmp_path / "pos.txt")
-    write_edge_list(g, path)
+    support.write_edge_list(g, path)
     back = read_edge_list(path)
     assert back == g
     assert canonical_key(back) == canonical_key(g)
@@ -157,6 +158,29 @@ def test_compact_beside_an_appender_keeps_every_record(tmp_path):
     loaded = load_cache(path)
     assert loaded.skipped == 0
     assert len(loaded.entries) == 3000, compactions
+
+
+_FIRST_APPENDER = """
+import struct, sys, time
+from strings_and_coins.io_cache import save_cache
+for path in sys.argv[1:]:
+    save_cache(path, [(struct.pack("<HHHH", 2, 0, 1, 1), 0)], append=True)
+    time.sleep(0.001)
+"""
+
+
+def test_load_racing_the_first_append_sees_its_record(tmp_path):
+    # each load starts the moment its cache file exists, which may be
+    # before the appender that created it has written the magic
+    paths = [str(tmp_path / f"values{i}.snc") for i in range(200)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(strings_and_coins.__file__))}
+    writer = subprocess.Popen([sys.executable, "-c", _FIRST_APPENDER, *paths], env=env)
+    deadline = time.monotonic() + 60
+    for path in paths:
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline
+        assert load_cache(path).entries == {struct.pack("<HHHH", 2, 0, 1, 1): 0}
+    assert writer.wait(timeout=60) == 0
 
 
 def test_cache_corrupt_tail_is_skipped(tmp_path):

@@ -57,7 +57,6 @@ PUBLIC = [
     "solve",
     "verify_all",
     "verify_claim",
-    "write_edge_list",
 ]
 
 
