@@ -1,5 +1,7 @@
 """Command-line behavior, exercised in-process through run()."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -285,6 +287,34 @@ def test_verify_failure_exit_code(monkeypatch):
     code, out, _ = invoke("verify", "--claim", "always_red")
     assert code == 1
     assert "always_red: FAIL" in out
+
+
+# sha256 of `snc verify --all` stdout: every claim's report, line for line
+VERIFY_ALL_DIGEST = "43f5ed2be14e8e0c8ac3085dabafe4060b62f285cbd77a667bd025fa715f3c75"
+# the same with every exact solve negated: each FAIL and witness text
+VERIFY_ALL_NEGATED_DIGEST = "db74726060c61d9d45f3a6c3f632072d3303e8f186d90147d91dfd9e105f729f"
+
+
+def test_verify_all_report_is_pinned():
+    code, out, _ = invoke("verify", "--all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+def test_verify_all_failure_report_is_pinned(monkeypatch):
+    solve = claims.solve
+    swap = {"P1": "P2", "P2": "P1", "Tie": "Tie"}
+
+    def negated(*args, **kwargs):
+        gv = solve(*args, **kwargs)
+        return dataclasses.replace(
+            gv, differential=-gv.differential, p1_score=gv.p2_score, p2_score=gv.p1_score, winner=swap[gv.winner]
+        )
+
+    monkeypatch.setattr(claims, "solve", negated)
+    code, out, _ = invoke("verify", "--all")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_NEGATED_DIGEST
 
 
 def test_solve_cache_file_round_trip(tmp_path):
