@@ -5,17 +5,30 @@ range and is checked mechanically: solved exactly, or (for constructive
 claims) played out against an exhaustive best-response adversary.  A
 report carries one line per instance plus the first violating instance,
 if any, as a witness.
+
+A claim is declared as one entry of ``_TABLE``: its statement as a
+comment, then a function that fills its report.  Most claims are rows
+for ``_solves``: (label, graph, expected (winner, differential or
+None)), built only when the claim runs, and labelled by
+``FamilySpec.label()`` unless the position is composite.  The two
+mirror claims (``balloon_even_tie``, ``doubled_tie``) are rows of
+(label, graph, policy) for ``_mirror_holds``.  ``tree_p1``,
+``quadrant_mirror`` and ``loopy_cycle_pattern`` check what no row
+states, and stay functions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import canonical
-from .families import make
+from .families import generate, make, parse_family
 from .graph import LoopyMultigraph
 from .solver import SolveOptions, TranspositionTable, solve
 from .strategies import (
+    PairedMirrorPolicy,
     balloon_mirror,
     best_response_value,
     mirror_policy,
@@ -41,131 +54,43 @@ class ClaimReport:
         self.lines.append(f"FAIL {witness}")
 
 
-def _shared_opts() -> SolveOptions:
-    return SolveOptions(table=TranspositionTable())
+_Expect = tuple[str, int | None] | str
+_Row = tuple[str, LoopyMultigraph, _Expect]
+_MirrorRow = tuple[str, LoopyMultigraph, PairedMirrorPolicy]
+_P1 = ("P1", None)
+_P2 = ("P2", None)
 
 
-def _check_rows(rep: ClaimReport, rows: list[tuple[str, LoopyMultigraph, str, int | None]]) -> None:
-    """Each row: (label, graph, expected winner, expected differential or None)."""
-    opts = _shared_opts()
-    for label, g, winner, diff in rows:
-        gv = solve(g, opts)
-        ok = gv.winner == winner and (diff is None or gv.differential == diff)
-        line = f"{label}: {gv.winner} ({gv.p1_score}-{gv.p2_score})"
-        if ok:
-            rep.lines.append(line)
-        else:
-            want = winner if diff is None else f"{winner} by {diff}"
-            rep.fail(f"{line}, expected {want}")
+def _labelled(name: str, *params: int) -> tuple[str, LoopyMultigraph]:
+    spec = parse_family(name, params)
+    return spec.label(), generate(spec)
 
 
-def _claim_friendship_alternation() -> ClaimReport:
-    """Triangles sharing a vertex: P1 by one point for even counts, P2 by
-    three for odd counts."""
-    rep = ClaimReport("friendship_alternation", True)
-    rows = []
-    for n in range(1, 9):
-        winner, diff = ("P1", 1) if n % 2 == 0 else ("P2", -3)
-        rows.append((f"friendship({n})", make("friendship", n), winner, diff))
-    _check_rows(rep, rows)
-    return rep
+def _row(expect: _Expect, name: str, *params: int) -> _Row:
+    return (*_labelled(name, *params), expect)
 
 
-def _claim_pinwheel_p2() -> ClaimReport:
-    """Squares sharing a vertex: P2 wins throughout the tested range."""
-    rep = ClaimReport("pinwheel_p2", True)
-    rows = [(f"pinwheel({n})", make("pinwheel", n), "P2", None) for n in range(1, 9)]
-    _check_rows(rep, rows)
-    return rep
+def _solves(build: Callable[[], list[_Row]]) -> Callable[[ClaimReport], None]:
+    """A row claim: solve each row that ``build`` returns through one
+    table, and check its winner and, unless None, its differential.  A
+    row that expects a text is reported as a note with that text."""
 
+    def check(rep: ClaimReport) -> None:
+        opts = SolveOptions(table=TranspositionTable())
+        for label, g, expect in build():
+            gv = solve(g, opts)
+            result = f"{gv.winner} ({gv.p1_score}-{gv.p2_score})"
+            if isinstance(expect, str):
+                rep.lines.append(f"note: {label} is {result}; {expect}")
+                continue
+            winner, diff = expect
+            line = f"{label}: {result}"
+            if gv.winner == winner and (diff is None or gv.differential == diff):
+                rep.lines.append(line)
+            else:
+                rep.fail(f"{line}, expected {winner if diff is None else f'{winner} by {diff}'}")
 
-def _claim_loopy_star_parity() -> ClaimReport:
-    """Loopy stars: P1 by two on an even vertex count, P2 by three on odd."""
-    rep = ClaimReport("loopy_star_parity", True)
-    rows = []
-    for k in range(1, 13):
-        vertices = k + 1
-        winner, diff = ("P1", 2) if vertices % 2 == 0 else ("P2", -3)
-        rows.append((f"loopy_star({k})", make("loopy_star", k), winner, diff))
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_double_loopy_p2() -> ClaimReport:
-    """Two loops per leaf: P2 wins every size except the smallest, a tie."""
-    rep = ClaimReport("double_loopy_p2", True)
-    rows = [("generalized_loopy_star(1, 2)", make("generalized_loopy_star", 1, 2), "Tie", 0)]
-    for x in range(2, 13):
-        rows.append(
-            (f"generalized_loopy_star({x}, 2)", make("generalized_loopy_star", x, 2), "P2", None)
-        )
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_starlike_obs1() -> ClaimReport:
-    """One loop per branch end, branches of four edges: P2 wins for two or
-    more branches."""
-    rep = ClaimReport("starlike_obs1", True)
-    rows = [
-        (f"loopy_starlike({n}, 1, 5)", make("loopy_starlike", n, 1, 5), "P2", None)
-        for n in (2, 3)
-    ]
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_starlike_obs2() -> ClaimReport:
-    """Two loops per branch end: winner alternates with branch parity."""
-    rep = ClaimReport("starlike_obs2", True)
-    rows = []
-    for n in (1, 2, 3):
-        winner = "P1" if n % 2 == 1 else "P2"
-        rows.append((f"loopy_starlike({n}, 2, 5)", make("loopy_starlike", n, 2, 5), winner, None))
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_starlike_obs3() -> ClaimReport:
-    """Three loops per branch end: P2 wins once there are two branches.
-
-    A single branch is a lone path with loops, so the mover strips it
-    whole; the multi-branch argument starts at two.
-    """
-    rep = ClaimReport("starlike_obs3", True)
-    rows = [
-        (f"loopy_starlike({n}, 3, 5)", make("loopy_starlike", n, 3, 5), "P2", None)
-        for n in (2, 3)
-    ]
-    _check_rows(rep, rows)
-    gv = solve(make("loopy_starlike", 1, 3, 5))
-    rep.lines.append(
-        f"note: loopy_starlike(1, 3, 5) is {gv.winner} ({gv.p1_score}-{gv.p2_score}); "
-        "single-branch case excluded (reduces to a one-branch takeover, not the pairing argument)"
-    )
-    return rep
-
-
-def _claim_bipartite_star_p1() -> ClaimReport:
-    """One-vertex part: the graph is a star, a tree, so P1 takes everything."""
-    rep = ClaimReport("bipartite_star_p1", True)
-    rows = []
-    for b in range(1, 9):
-        g = make("complete_bipartite", 1, b)
-        rows.append((f"complete_bipartite(1, {b})", g, "P1", g.vertex_count))
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_bipartite_two_parity() -> ClaimReport:
-    """Two-vertex part: P1 wins exactly when the other part is odd."""
-    rep = ClaimReport("bipartite_two_parity", True)
-    rows = []
-    for b in range(1, 9):
-        winner = "P1" if b % 2 == 1 else "P2"
-        rows.append((f"complete_bipartite(2, {b})", make("complete_bipartite", 2, b), winner, None))
-    _check_rows(rep, rows)
-    return rep
+    return check
 
 
 def all_trees(max_vertices: int) -> dict[int, list[LoopyMultigraph]]:
@@ -187,12 +112,8 @@ def all_trees(max_vertices: int) -> dict[int, list[LoopyMultigraph]]:
     return out
 
 
-def _claim_tree_p1() -> ClaimReport:
-    """On any tree the mover takes every vertex: differential equals the
-    vertex count.  Checked for all trees up to nine vertices, plus a few
-    forests."""
-    rep = ClaimReport("tree_p1", True)
-    opts = _shared_opts()
+def _tree_p1(rep: ClaimReport) -> None:
+    opts = SolveOptions(table=TranspositionTable())
     trees = all_trees(9)
     for n in range(2, 10):
         bad = 0
@@ -213,64 +134,34 @@ def _claim_tree_p1() -> ClaimReport:
             rep.lines.append(f"forest {label}: differential {gv.differential} ok")
         else:
             rep.fail(f"forest {label}: differential {gv.differential} != {f.vertex_count}")
-    return rep
 
 
-def _claim_cycle_p2() -> ClaimReport:
-    """On a cycle the opponent takes every vertex: differential is -n."""
-    rep = ClaimReport("cycle_p2", True)
-    rows = [(f"cycle({n})", make("cycle", n), "P2", -n) for n in range(3, 13)]
-    _check_rows(rep, rows)
-    return rep
-
-
-def _claim_cycle_union_ge8() -> ClaimReport:
-    """Two disjoint 8-cycles: still a P2 win."""
-    rep = ClaimReport("cycle_union_ge8", True)
-    g = make("cycle", 8).disjoint_union(make("cycle", 8))
-    _check_rows(rep, [("cycle(8) + cycle(8)", g, "P2", None)])
-    return rep
-
-
-def _claim_c5_loop_counterexample() -> ClaimReport:
-    """Loops break cycle pessimism: a 5-cycle is a P2 win, but adding one
-    loop hands the win to P1, and a second loop on an adjacent vertex
-    keeps it with P1 (open the edge between the two looped vertices)."""
-    rep = ClaimReport("c5_loop_counterexample", True)
-    c5 = make("cycle", 5)
-    one = c5.add_edge(0, 0)
-    two = one.add_edge(1, 1)
-    _check_rows(
-        rep,
-        [
-            ("cycle(5)", c5, "P2", None),
-            ("cycle(5) + loop", one, "P1", None),
-            ("cycle(5) + adjacent loops", two, "P1", None),
-        ],
-    )
-    return rep
-
-
-def _claim_balloon_even_tie() -> ClaimReport:
-    """Opening the center edge and mirroring holds even balloon paths to
-    at least a tie.
-
-    The length-2 balloon path is excluded: its halves are single looped
-    vertices (incident count one), so the mirror's no-instant-capture
-    hypothesis fails, and the position is optimally a loss for the
-    opener; it is reported for reference.
-    """
-    rep = ClaimReport("balloon_even_tie", True)
-    for n in (4, 6, 8, 10):
-        g, pol = balloon_mirror(n)
-        if canonical.canonical_key(g) != canonical.canonical_key(make("balloon_path", n)):
-            rep.fail(f"balloon_mirror({n}) is not balloon_path({n})")
+def _mirror_holds(rep: ClaimReport, rows: Iterable[_MirrorRow | str]) -> None:
+    """A mirror claim: the opener locked to each row's policy reaches at
+    least a tie against a best response.  A text in place of a row is a
+    failed pre-check; rows are drawn one at a time, so it is reported in
+    its place."""
+    for row in rows:
+        if isinstance(row, str):
+            rep.fail(row)
             continue
+        label, g, pol = row
         v = best_response_value(g, pol, "P1")
         if v >= 0:
-            rep.lines.append(f"balloon_path({n}): mirror forces differential {v} >= 0")
+            rep.lines.append(f"{label}: mirror forces differential {v} >= 0")
         else:
-            rep.fail(f"balloon_path({n}): mirror best-response {v} < 0")
+            rep.fail(f"{label}: mirror best-response {v} < 0")
+
+
+def _balloon_row(n: int) -> _MirrorRow | str:
+    g, pol = balloon_mirror(n)
+    if canonical.canonical_key(g) != canonical.canonical_key(make("balloon_path", n)):
+        return f"balloon_mirror({n}) is not balloon_path({n})"
+    return f"balloon_path({n})", g, pol
+
+
+def _balloon_even_tie(rep: ClaimReport) -> None:
+    _mirror_holds(rep, (_balloon_row(n) for n in (4, 6, 8, 10)))
     g2, pol2 = balloon_mirror(2)
     v2 = best_response_value(g2, pol2, "P1")
     d2 = solve(make("balloon_path", 2)).differential
@@ -278,7 +169,6 @@ def _claim_balloon_even_tie() -> ClaimReport:
         f"note: balloon_path(2) excluded; mirror yields {v2}, optimal is {d2} "
         "(halves have incident count one, so the opponent captures immediately)"
     )
-    return rep
 
 
 def require_min_incident(g: LoopyMultigraph, k: int = 2) -> None:
@@ -288,49 +178,31 @@ def require_min_incident(g: LoopyMultigraph, k: int = 2) -> None:
             raise ValueError(f"vertex {v} has incident count {g.incident_count(v)} < {k}")
 
 
-def _claim_doubled_tie() -> ClaimReport:
-    """Two copies of a min-incident-2 base joined by an edge: the opener
-    mirrors to at least a tie."""
-    rep = ClaimReport("doubled_tie", True)
-    bases = [
-        ("cycle(3)", make("cycle", 3)),
-        ("cycle(4)", make("cycle", 4)),
-        ("cycle(5)", make("cycle", 5)),
-        ("complete(4)", make("complete", 4)),
-        ("cycle(6)", make("cycle", 6)),
-        ("complete_bipartite(2, 3)", make("complete_bipartite", 2, 3)),
-        ("wheel(4)", make("wheel", 4)),
-        ("prism(3)", make("prism", 3)),
-        ("balloon_path(2)", make("balloon_path", 2)),
-        ("balloon_path(3)", make("balloon_path", 3)),
-        ("loopy_star(2)", make("loopy_star", 2)),
-    ]
-    for label, base in bases:
-        try:
-            require_min_incident(base, 2)
-        except ValueError as exc:
-            rep.fail(f"base {label} rejected: {exc}")
-            continue
-        g, pol = mirror_policy(base)
-        v = best_response_value(g, pol, "P1")
-        if v >= 0:
-            rep.lines.append(f"doubled {label}: mirror forces differential {v} >= 0")
-        else:
-            rep.fail(f"doubled {label}: mirror best-response {v} < 0")
+def _doubled_row(name: str, *params: int) -> _MirrorRow | str:
+    label, base = _labelled(name, *params)
+    try:
+        require_min_incident(base, 2)
+    except ValueError as exc:
+        return f"base {label} rejected: {exc}"
+    return (f"doubled {label}", *mirror_policy(base))
+
+
+_DOUBLED_BASES = [
+    ("cycle", 3), ("cycle", 4), ("cycle", 5), ("complete", 4), ("cycle", 6), ("complete_bipartite", 2, 3),
+    ("wheel", 4), ("prism", 3), ("balloon_path", 2), ("balloon_path", 3), ("loopy_star", 2),
+]
+
+
+def _doubled_tie(rep: ClaimReport) -> None:
+    _mirror_holds(rep, (_doubled_row(*base) for base in _DOUBLED_BASES))
     try:
         require_min_incident(make("complete", 2), 2)
         rep.fail("complete(2) base was not rejected")
     except ValueError:
         rep.lines.append("complete(2) base rejected (minimum incident count 1), as required")
-    return rep
 
 
-def _claim_quadrant_mirror() -> ClaimReport:
-    """Quadrant mirroring on complete graphs of 4n vertices, evaluated
-    exactly against a perfect opponent.  Experimental: the report checks
-    only consistency with the optimal values (the defender locked to any
-    policy can never concede less than optimal play allows)."""
-    rep = ClaimReport("quadrant_mirror", True)
+def _quadrant_mirror(rep: ClaimReport) -> None:
     for n in (1, 2):
         g = make("complete", 4 * n)
         pol = quadrant_mirror_policy(n)
@@ -341,14 +213,10 @@ def _claim_quadrant_mirror() -> ClaimReport:
             continue
         verdict = "matches optimal play" if v == d else f"concedes {v - d} beyond optimal"
         rep.lines.append(f"complete({4 * n}): quadrant mirror best-response {v}, optimal {d}; {verdict}")
-    return rep
 
 
-def _claim_loopy_cycle_pattern() -> ClaimReport:
-    """Observed winners for cycles with consecutive loops; reported as
-    data, with only internal consistency asserted."""
-    rep = ClaimReport("loopy_cycle_pattern", True)
-    opts = _shared_opts()
+def _loopy_cycle_pattern(rep: ClaimReport) -> None:
+    opts = SolveOptions(table=TranspositionTable())
     for k in (1, 2, 3):
         results = []
         for n in range(4, 11):
@@ -357,28 +225,94 @@ def _claim_loopy_cycle_pattern() -> ClaimReport:
                 rep.fail(f"loopy_cycle({n}, {k}): inconsistent differential {gv.differential}")
             results.append(f"n={n}: {gv.winner} ({gv.p1_score}-{gv.p2_score})")
         rep.lines.append(f"k={k}: " + "; ".join(results))
+
+
+# Each claim's statement, then how its report is filled, in the order of
+# `snc verify --all`.
+_TABLE: dict[str, Callable[[ClaimReport], None]] = {
+    # Triangles sharing a vertex: P1 by one point for even counts, P2 by
+    # three for odd counts.
+    "friendship_alternation": _solves(
+        lambda: [_row(("P1", 1) if n % 2 == 0 else ("P2", -3), "friendship", n) for n in range(1, 9)]
+    ),
+    # Squares sharing a vertex: P2 wins throughout the tested range.
+    "pinwheel_p2": _solves(lambda: [_row(_P2, "pinwheel", n) for n in range(1, 9)]),
+    # Loopy stars (k + 1 vertices): P1 by two on an even vertex count, P2
+    # by three on odd.
+    "loopy_star_parity": _solves(
+        lambda: [_row(("P1", 2) if k % 2 == 1 else ("P2", -3), "loopy_star", k) for k in range(1, 13)]
+    ),
+    # Two loops per leaf: P2 wins every size except the smallest, a tie.
+    "double_loopy_p2": _solves(
+        lambda: [_row(("Tie", 0) if x == 1 else _P2, "generalized_loopy_star", x, 2) for x in range(1, 13)]
+    ),
+    # One loop per branch end, branches of four edges: P2 wins for two or
+    # more branches.
+    "starlike_obs1": _solves(lambda: [_row(_P2, "loopy_starlike", n, 1, 5) for n in (2, 3)]),
+    # Two loops per branch end: winner alternates with branch parity.
+    "starlike_obs2": _solves(lambda: [_row(_P1 if n % 2 else _P2, "loopy_starlike", n, 2, 5) for n in (1, 2, 3)]),
+    # Three loops per branch end: P2 wins once there are two branches.  A
+    # single branch is a lone path with loops, so the mover strips it
+    # whole; the multi-branch argument starts at two.
+    "starlike_obs3": _solves(
+        lambda: [_row(_P2, "loopy_starlike", n, 3, 5) for n in (2, 3)]
+        + [_row("single-branch case excluded (reduces to a one-branch takeover, not the pairing argument)",
+                "loopy_starlike", 1, 3, 5)]
+    ),
+    # One-vertex part: the graph is a star, a tree, so P1 takes all 1 + b
+    # vertices.
+    "bipartite_star_p1": _solves(lambda: [_row(("P1", 1 + b), "complete_bipartite", 1, b) for b in range(1, 9)]),
+    # Two-vertex part: P1 wins exactly when the other part is odd.
+    "bipartite_two_parity": _solves(
+        lambda: [_row(_P1 if b % 2 else _P2, "complete_bipartite", 2, b) for b in range(1, 9)]
+    ),
+    # On any tree the mover takes every vertex: differential equals the
+    # vertex count.  Checked for all trees up to nine vertices, plus a few
+    # forests.
+    "tree_p1": _tree_p1,
+    # On a cycle the opponent takes every vertex: differential is -n.
+    "cycle_p2": _solves(lambda: [_row(("P2", -n), "cycle", n) for n in range(3, 13)]),
+    # Two disjoint 8-cycles: still a P2 win.
+    "cycle_union_ge8": _solves(
+        lambda: [("cycle(8) + cycle(8)", make("cycle", 8).disjoint_union(make("cycle", 8)), _P2)]
+    ),
+    # Loops break cycle pessimism: a 5-cycle is a P2 win, but adding one
+    # loop hands the win to P1, and a second loop on an adjacent vertex
+    # keeps it with P1 (open the edge between the two looped vertices).
+    "c5_loop_counterexample": _solves(
+        lambda: [
+            _row(_P2, "cycle", 5),
+            ("cycle(5) + loop", make("cycle", 5).add_edge(0, 0), _P1),
+            ("cycle(5) + adjacent loops", make("cycle", 5).add_edge(0, 0).add_edge(1, 1), _P1),
+        ]
+    ),
+    # Opening the center edge and mirroring holds even balloon paths to at
+    # least a tie.  The length-2 balloon path is excluded: its halves are
+    # single looped vertices (incident count one), so the mirror's
+    # no-instant-capture hypothesis fails, and the position is optimally a
+    # loss for the opener; it is reported for reference.
+    "balloon_even_tie": _balloon_even_tie,
+    # Two copies of a min-incident-2 base joined by an edge: the opener
+    # mirrors to at least a tie.
+    "doubled_tie": _doubled_tie,
+    # Quadrant mirroring on complete graphs of 4n vertices, evaluated
+    # exactly against a perfect opponent.  Experimental: the report checks
+    # only consistency with the optimal values (the defender locked to any
+    # policy can never concede less than optimal play allows).
+    "quadrant_mirror": _quadrant_mirror,
+    # Observed winners for cycles with consecutive loops; reported as data,
+    # with only internal consistency asserted.
+    "loopy_cycle_pattern": _loopy_cycle_pattern,
+}
+
+
+def _report(claim_id: str, fill: Callable[[ClaimReport], None]) -> ClaimReport:
+    rep = ClaimReport(claim_id, True)
+    fill(rep)
     return rep
 
 
-CLAIMS = {
-    "friendship_alternation": _claim_friendship_alternation,
-    "pinwheel_p2": _claim_pinwheel_p2,
-    "loopy_star_parity": _claim_loopy_star_parity,
-    "double_loopy_p2": _claim_double_loopy_p2,
-    "starlike_obs1": _claim_starlike_obs1,
-    "starlike_obs2": _claim_starlike_obs2,
-    "starlike_obs3": _claim_starlike_obs3,
-    "bipartite_star_p1": _claim_bipartite_star_p1,
-    "bipartite_two_parity": _claim_bipartite_two_parity,
-    "tree_p1": _claim_tree_p1,
-    "cycle_p2": _claim_cycle_p2,
-    "cycle_union_ge8": _claim_cycle_union_ge8,
-    "c5_loop_counterexample": _claim_c5_loop_counterexample,
-    "balloon_even_tie": _claim_balloon_even_tie,
-    "doubled_tie": _claim_doubled_tie,
-    "quadrant_mirror": _claim_quadrant_mirror,
-    "loopy_cycle_pattern": _claim_loopy_cycle_pattern,
-}
+CLAIMS: dict[str, Callable[[], ClaimReport]] = {cid: partial(_report, cid, fill) for cid, fill in _TABLE.items()}
 
 
 def claim_ids() -> list[str]:
