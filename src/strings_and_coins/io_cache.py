@@ -22,7 +22,8 @@ compaction holds its lock from its read to its rename.  Concurrent
 no record is split by another writer's, no load sees half an append or
 a file created but not yet written, and no append is lost to a
 compaction.  A cache whose directory neither holds ``PATH.lock`` nor
-lets it be created cannot be read: the lock raises ``OSError``.
+lets it be created cannot be read: the lock raises ``OSError`` naming
+the cache.
 """
 
 from __future__ import annotations
@@ -102,7 +103,10 @@ def _locked(path: str, exclusive: bool):
     if fcntl is None:
         yield
         return
-    fd = os.open(path + ".lock", os.O_RDONLY | os.O_CREAT, 0o666)
+    try:
+        fd = os.open(path + ".lock", os.O_RDONLY | os.O_CREAT, 0o666)
+    except OSError as exc:  # name the cache, not its lock file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
         yield
@@ -194,8 +198,11 @@ def compact_cache(path: str) -> tuple[int, int]:
     Returns (records before, records after): a 1-3 byte fragment too
     short to hold a length field is not a record.  The rewrite goes
     through a temp file and an atomic rename, all under an exclusive
-    lock on ``PATH.lock``, so no append lands on the old file unseen.
+    lock on ``PATH.lock``, so no append lands on the old file unseen.  A
+    missing cache raises ``FileNotFoundError`` before the lock file is
+    created.
     """
+    os.stat(path)
     with _locked(path, exclusive=True), open(path, "rb") as fh:
         loaded = _parse_cache(fh.read(), path)
         tmp = path + ".tmp"

@@ -359,6 +359,24 @@ def test_cache_compact_missing_file():
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("cache", "--compact"), "values.snc"),
+        (("cache", "--compact"), "missing/values.snc"),
+        (("solve", "--family", "cycle", "4", "--cache"), "missing/values.snc"),
+    ],
+    ids=["compact", "compact-no-dir", "solve-no-dir"],
+)
+def test_missing_cache_is_named_and_leaves_no_lock(tmp_path, argv, where):
+    cache = str(tmp_path / where)
+    code, _, err = invoke(*argv, cache)
+    assert code == 2
+    assert f"'{cache}'" in err
+    assert ".lock" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_no_arguments_usage():
     code, _, _ = invoke()
     assert code == 2
