@@ -395,6 +395,26 @@ def test_twin_heavy_relabelling_hypothesis(hubs, groups, rng):
     check_twin_case(hubs, groups, rng)
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=10),
+    move=st.none() | st.tuples(st.integers(0, 9), st.integers(0, 6), st.integers(0, 6)),
+    rng=st.randoms(use_true_random=False),
+)
+def test_general_multigraph_keys_agree_with_isomorphism(edges, move, rng):
+    # a relabelled copy, and half the time one of its strings moved to a
+    # drawn pair of its vertices: loops and parallel strings included
+    g = LoopyMultigraph.from_edges(edges)
+    h = support.relabel(g, rng)
+    if move is not None:
+        i, a, b = move
+        vs = h.vertices
+        moved = [(ref.u, ref.v) for ref, m in h.edge_pairs() for _ in range(m)]
+        moved[i % len(moved)] = (vs[a % len(vs)], vs[b % len(vs)])
+        h = LoopyMultigraph.from_edges(moved)
+    assert (canonical_key(g) == canonical_key(h)) == are_isomorphic(g, h)
+
+
 def test_twin_keying_work_is_linear(monkeypatch):
     """Keying leaves grow at most linearly in the number of twins, counted
     by ``_serialize`` calls so that a loaded machine cannot fail it."""

@@ -8,10 +8,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strings_and_coins
 from strings_and_coins.canonical import canonical_key
 from strings_and_coins.families import make
+from strings_and_coins.graph import LoopyMultigraph
 from strings_and_coins.io_cache import (
     CacheFormatError,
     EdgeListFormatError,
@@ -42,6 +45,22 @@ def test_parse_edge_list_errors_carry_line_numbers():
     assert "line 1" in str(exc.value)
     with pytest.raises(EdgeListFormatError):
         parse_edge_list("0 -3\n")
+
+
+# tokens of integers, signs, comment marks, underscores, non-ASCII digits and NULs
+_edge_token = st.integers(-2, 2**70).map(str) | st.text("0123456789+-#_\u0663\u096f\uff15\x00", max_size=6)
+_edge_line = st.tuples(_edge_token, _edge_token).map(" ".join) | st.lists(_edge_token, max_size=4).map("\t".join)
+_edge_text = st.lists(_edge_line, max_size=8).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(text=st.text() | _edge_text)
+def test_parse_edge_list_raises_only_its_own_error(text):
+    try:
+        g = parse_edge_list(text)
+    except EdgeListFormatError:
+        return
+    assert isinstance(g, LoopyMultigraph)
 
 
 def test_edge_list_round_trip(tmp_path):
