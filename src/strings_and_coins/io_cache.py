@@ -13,11 +13,27 @@ that fails is skipped and counted; a length field that runs past the end
 of the file, or a tail too short to hold one, ends the load with one
 more skip, so a crash mid-write never poisons earlier results.
 
+``PATH.idx`` is derived from the cache so that a load need not screen
+all of it; ``SNC1`` bytes and their meaning do not depend on it, it is
+safe to delete, and ``snc cache --compact`` rebuilds it.  It records how
+many leading cache bytes it covers and their ``zlib.crc32``, what the
+screen counted in them, and the offset of each kept key's last record,
+sorted by key bytes.  A load trusts it only when that CRC matches the
+cache's bytes (and the index's own CRC matches the index); it then
+screens only the records after the covered bytes, and a lookup tries
+those first, then binary-searches the offsets.  Without a matching
+index it screens the whole file.  Either way it keeps, skips and counts
+exactly what a screen of the whole file does.  An append rewrites the
+index when it is missing or stale or when the records after it outgrow
+a quarter of what it covers; a compaction writes it for the file it
+produces; a save that is not an append removes it.
+
 Every access locks ``PATH.lock``, an empty file beside the cache that
 nothing writes or renames, before it opens the cache: a load takes a
 shared ``flock``, an append or a compaction an exclusive one.  An append
 encodes its whole batch first and writes it with a single ``write``; a
-compaction holds its lock from its read to its rename.  Concurrent
+compaction holds its lock from its read to its rename.  Both write the
+index through a temp file and a rename under that lock.  Concurrent
 ``snc`` runs, compactions included, may therefore share one cache file:
 no record is split by another writer's, no load sees half an append or
 a file created but not yet written, and no append is lost to a
@@ -31,7 +47,12 @@ from __future__ import annotations
 import operator
 import os
 import struct
-from contextlib import contextmanager
+import sys
+import zlib
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 try:
@@ -46,6 +67,16 @@ MAGIC = b"SNC1"
 
 _U32 = struct.Struct("<I")
 _I16 = struct.Struct("<h")
+
+# PATH.idx: this header, then a u64 record offset per key, then a crc32
+# of both; the header is the index's magic, the cache bytes it covers,
+# their crc32, the records, skipped records and keys among them, and
+# whether a bad length field ends them
+_INDEX = struct.Struct("<4sQIQQQ?")
+_INDEX_MAGIC = b"SNCX"
+_INDEX_SUFFIX = ".idx"
+_REINDEX_SHARE = 4  # an append re-indexes past covered / 4 unindexed bytes
+_UNSEEN = object()
 
 
 class EdgeListFormatError(ValueError):
@@ -87,12 +118,70 @@ def read_edge_list(path: str) -> LoopyMultigraph:
 
 @dataclass
 class CacheLoad:
-    """Entries read from a cache file, a count of records dropped, and
-    the number of records whose length field was read whole."""
+    """Entries of a cache file, as a read-only mapping that reads values
+    from the file's bytes on demand, a count of records dropped, and the
+    number of records whose length field was read whole."""
 
-    entries: dict[bytes, int]
+    entries: Mapping[bytes, int]
     skipped: int
     records: int = 0
+
+
+class _Records(Mapping):
+    """Key -> value of the records a cache keeps, read from its bytes on
+    demand.  The records after the index answer first (``tail`` maps
+    their keys to record offsets); any other key is found by binary
+    search over the index's record offsets, sorted by key bytes.  Every
+    answer is memoised, and so is the length, on its first use: counting
+    the tail keys that the index lacks takes a search per tail key, which
+    no lookup needs."""
+
+    def __init__(self, blob: bytes, offsets: array, tail: dict[bytes, int]):
+        self._blob = blob
+        self._offsets = offsets
+        self._tail = tail
+        self._memo: dict[bytes, int | None] = {}
+        self._len: int | None = None if offsets else len(tail)
+
+    def _key_at(self, off: int) -> bytes:
+        start = off + 4
+        return self._blob[start : start + _U32.unpack_from(self._blob, off)[0]]
+
+    def _indexed(self, key: bytes) -> int | None:
+        offsets = self._offsets
+        i = bisect_left(offsets, key, key=self._key_at)
+        return offsets[i] if i < len(offsets) and self._key_at(offsets[i]) == key else None
+
+    def get(self, key, default=None):
+        value = self._memo.get(key, _UNSEEN)
+        if value is _UNSEEN:
+            off = self._tail.get(key)
+            if off is None:
+                off = self._indexed(key)
+            value = None if off is None else _I16.unpack_from(self._blob, off + 4 + len(key))[0]
+            self._memo[key] = value
+        return default if value is None else value
+
+    def __getitem__(self, key):
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self) -> Iterator[bytes]:
+        for off in self._offsets:
+            key = self._key_at(off)
+            if key not in self._tail:
+                yield key
+        yield from self._tail
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = len(self._offsets) + sum(self._indexed(k) is None for k in self._tail)
+        return self._len
 
 
 @contextmanager
@@ -116,48 +205,151 @@ def _locked(path: str, exclusive: bool):
 
 def load_cache(path: str) -> CacheLoad:
     """Read a value cache under a shared lock; tolerate and count a corrupt
-    or truncated tail.  Raises ``OSError`` when ``PATH.lock`` neither exists
-    nor can be created."""
-    with _locked(path, exclusive=False), open(path, "rb") as fh:
-        return _parse_cache(fh.read(), path)
+    or truncated tail.  A missing cache raises ``FileNotFoundError`` before
+    the lock file is created; otherwise raises ``OSError`` when
+    ``PATH.lock`` neither exists nor can be created."""
+    os.stat(path)
+    with _locked(path, exclusive=False):
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        index = _read_index(path)
+    return _load(blob, index, path)
 
 
-def _parse_cache(blob: bytes, path: str) -> CacheLoad:
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
+def _load(blob: bytes, index: bytes | None, path: str) -> CacheLoad:
+    """Screen ``blob`` from where ``index`` stops covering it, or from the
+    start when the index is missing or does not match it."""
+    offsets = array("Q")
+    head = _index_head(index, blob)
+    if head is None:
+        covered, skipped, records = len(MAGIC), 0, 0
+    else:
+        covered, skipped, records, _ = head
+        offsets.frombytes(memoryview(index)[_INDEX.size : -4])
+        if sys.byteorder == "big":
+            offsets.byteswap()
+    tail, tail_skipped, tail_records = _screen(blob, path, covered)
+    return CacheLoad(_Records(blob, offsets, tail), skipped + tail_skipped, records + tail_records)
+
+
+def _screen(blob: bytes, path: str, start: int = len(MAGIC)) -> tuple[dict[bytes, int], int, int]:
+    """Screen a cache's records from ``start``: (offset of the last record
+    of each kept key, skipped, records), a bad length field or a fragment
+    too short for one that ends the file counted as in the module
+    docstring."""
+    if blob[: len(MAGIC)] != MAGIC:
         raise CacheFormatError(f"{path}: not a value-cache file")
-    entries: dict[bytes, int] = {}
-    skipped = records = 0
-    off = len(MAGIC)
+    found, skipped, records, stop = _scan(blob, start)
+    if stop < len(blob):
+        skipped += 1
+        records += stop + 4 <= len(blob)
+    return found, skipped, records
+
+
+def _scan(blob: bytes, off: int) -> tuple[dict[bytes, int], int, int, int]:
+    """Screen the records from ``off``: (offset of the last record of each
+    kept key, skipped, records, stop).  ``stop`` is ``len(blob)``, or the
+    offset of a length field that is zero or runs past the end of the
+    file, or of a fragment too short to hold one; that field ends the
+    screen and is not counted."""
+    found: dict[bytes, int] = {}
+    records = skipped = 0
     end = len(blob)
     u32, i16, le = _U32.unpack_from, _I16.unpack_from, operator.le
-    while off < end:
-        if off + 4 > end:
-            skipped += 1
+    while off + 4 <= end:
+        (klen,) = u32(blob, off)
+        start = off + 4
+        stop = start + klen
+        if klen == 0 or stop + 2 > end:
             break
         records += 1
-        (klen,) = u32(blob, off)
-        off += 4
-        stop = off + klen
-        if klen == 0 or stop + 2 > end:
-            skipped += 1
-            break
         (value,) = i16(blob, stop)
         # the screen of the module docstring; a key of 2 bytes has no triples
         if klen % 6 == 2:
-            f = key_fields(klen).unpack_from(blob, off)
+            f = key_fields(klen).unpack_from(blob, start)
             n = f[0]
             if (
                 -n <= value <= n
                 and (value - n) % 2 == 0
                 and (klen == 2 or (max(b := f[2::3]) < n and all(map(le, f[1::3], b))))
             ):
-                entries[blob[off:stop]] = value
+                found[blob[start:stop]] = off
             else:
                 skipped += 1
         else:
             skipped += 1
         off = stop + 2
-    return CacheLoad(entries, skipped, records)
+    return found, skipped, records, off
+
+
+def _read_index(path: str) -> bytes | None:
+    try:
+        with open(path + _INDEX_SUFFIX, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] | None:
+    """(covered, skipped, records, stopped) from an index that is
+    whole and describes the first ``covered`` bytes of ``blob``, else None."""
+    if index is None or len(index) < _INDEX.size + 4:
+        return None
+    magic, covered, crc, records, skipped, keys, stopped = _INDEX.unpack_from(index)
+    whole = memoryview(index)[:-4]
+    if (
+        magic != _INDEX_MAGIC
+        or len(index) != _INDEX.size + 8 * keys + 4
+        or _U32.unpack_from(index, len(whole))[0] != zlib.crc32(whole)
+        or not len(MAGIC) <= covered <= len(blob)
+        or zlib.crc32(memoryview(blob)[:covered]) != crc
+    ):
+        return None
+    return covered, skipped, records, stopped
+
+
+def _reindex(path: str, blob: bytes) -> None:
+    """Index ``blob``, the whole cache at ``path``, under the caller's
+    exclusive lock."""
+    found, skipped, records, covered = _scan(blob, len(MAGIC))
+    _write_index(path, blob, covered, skipped, records, array("Q", [found[k] for k in sorted(found)]))
+
+
+def _write_index(path: str, blob: bytes, covered: int, skipped: int, records: int, offsets: array) -> None:
+    """Write ``PATH.idx`` for the first ``covered`` bytes of ``blob``, whose
+    kept keys' records start at ``offsets`` in key order.  An index that
+    cannot be written is left out: loads then screen the whole file."""
+    crc = zlib.crc32(memoryview(blob)[:covered])
+    head = _INDEX.pack(_INDEX_MAGIC, covered, crc, records, skipped, len(offsets), covered < len(blob))
+    if sys.byteorder == "big":
+        offsets.byteswap()
+    body = head + offsets.tobytes()
+    tmp = path + _INDEX_SUFFIX + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + _U32.pack(zlib.crc32(body)))
+        os.replace(tmp, path + _INDEX_SUFFIX)
+    except OSError:
+        _remove(tmp)
+
+
+def _remove(name: str) -> None:
+    with suppress(OSError):
+        os.unlink(name)
+
+
+def _encode(items) -> tuple[bytearray, list[int]]:
+    """The records of ``items`` as one buffer, and where each starts in it."""
+    buf = bytearray()
+    starts = []
+    for key, value in items:
+        if not -0x8000 <= value <= 0x7FFF:
+            raise ValueError(f"value {value} does not fit a record's i16 field (-32768..32767)")
+        starts.append(len(buf))
+        buf += _U32.pack(len(key))
+        buf += key
+        buf += _I16.pack(value)
+    return buf, starts
 
 
 def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], append: bool = False) -> int:
@@ -168,32 +360,40 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     The records go out as one buffer in one ``write``.  An append locks
     ``PATH.lock`` exclusively before it opens the cache and closes the
     cache before it unlocks, so concurrent appenders never split each
-    other's records and a load never sees the file empty.
+    other's records and a load never sees the file empty.  Under the same
+    lock it rebuilds ``PATH.idx`` when the index is missing or stale, or
+    when the records past it outgrow a quarter of the bytes it covers.
+    A save without ``append`` removes the index.
     """
-    items = entries.items() if isinstance(entries, dict) else entries
-    buf = bytearray()
-    count = 0
-    for key, value in items:
-        if not -0x8000 <= value <= 0x7FFF:
-            raise ValueError(f"value {value} does not fit a record's i16 field (-32768..32767)")
-        buf += _U32.pack(len(key))
-        buf += key
-        buf += _I16.pack(value)
-        count += 1
+    buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
     if not append:
         with open(path, "wb") as fh:
             fh.write(MAGIC + buf)
-        return count
-    with _locked(path, exclusive=True), open(path, "ab") as fh:
+        _remove(path + _INDEX_SUFFIX)
+        return len(starts)
+    with _locked(path, exclusive=True), open(path, "a+b") as fh:
         # under the lock, an empty file is new: it gets the magic first
         if fh.seek(0, os.SEEK_END) == 0:
             buf[:0] = MAGIC
         fh.write(buf)
-    return count
+        fh.seek(0)
+        blob = fh.read()
+        if blob[: len(MAGIC)] == MAGIC:
+            head = _index_head(_read_index(path), blob)
+            if head is None:
+                _reindex(path, blob)
+            else:
+                # a screen that stopped at a bad length field would stop
+                # there again, so such an index is left as it is
+                covered, _, _, stopped = head
+                if not stopped and len(blob) - covered > covered // _REINDEX_SHARE:
+                    _reindex(path, blob)
+    return len(starts)
 
 
 def compact_cache(path: str) -> tuple[int, int]:
-    """Rewrite a cache dropping duplicate keys and corrupt records.
+    """Rewrite a cache dropping duplicate keys and corrupt records, and
+    index the result.
 
     Returns (records before, records after): a 1-3 byte fragment too
     short to hold a length field is not a record.  The rewrite goes
@@ -204,8 +404,16 @@ def compact_cache(path: str) -> tuple[int, int]:
     """
     os.stat(path)
     with _locked(path, exclusive=True), open(path, "rb") as fh:
-        loaded = _parse_cache(fh.read(), path)
+        old = fh.read()
+        found, _, records = _screen(old, path)
+        keys = sorted(found)
+        buf, starts = _encode((k, _I16.unpack_from(old, found[k] + 4 + len(k))[0]) for k in keys)
+        blob = MAGIC + buf
         tmp = path + ".tmp"
-        save_cache(tmp, dict(sorted(loaded.entries.items())))
+        with open(tmp, "wb") as out:
+            out.write(blob)
         os.replace(tmp, path)
-    return loaded.records, len(loaded.entries)
+        # every record is kept and its key is unique, so each is indexed
+        offsets = array("Q", [len(MAGIC) + start for start in starts])
+        _write_index(path, blob, len(blob), 0, len(keys), offsets)
+    return records, len(keys)

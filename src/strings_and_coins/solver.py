@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
@@ -120,17 +121,20 @@ class TranspositionTable:
     """
 
     def __init__(self):
-        self._seed: dict[bytes, int] = {}
+        self._seed: Mapping[bytes, int] = {}
         self._store: dict[bytes, tuple[int, int]] = {}
         self.keys = canonical.KeyCache()
 
     def __len__(self) -> int:
         return len(self._store) + len(self._seed)
 
-    def seed(self, entries: dict[bytes, int]) -> None:
-        """Pin exact values.  The first seeding keeps ``entries`` itself
-        rather than a copy, so the caller must not change it afterwards;
-        later seedings merge into a new dict and leave it untouched."""
+    def seed(self, entries: Mapping[bytes, int]) -> None:
+        """Pin exact values.  ``entries`` may be any read-only mapping,
+        such as a loaded cache's lazy ``CacheLoad.entries``: a probe calls
+        only its ``get`` and ``in``.  The first seeding keeps ``entries``
+        itself rather than a copy, so the caller must not change it
+        afterwards; later seedings merge into a new dict and leave it
+        untouched."""
         self._seed = {**self._seed, **entries} if self._seed else entries
 
     def get(self, key: bytes) -> tuple[int, int] | None:

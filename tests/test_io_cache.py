@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strings_and_coins
+from strings_and_coins import io_cache
 from strings_and_coins.canonical import canonical_key
 from strings_and_coins.families import make
 from strings_and_coins.graph import LoopyMultigraph
@@ -200,6 +201,59 @@ def test_load_racing_the_first_append_sees_its_record(tmp_path):
             assert time.monotonic() < deadline
         assert load_cache(path).entries == {struct.pack("<HHHH", 2, 0, 1, 1): 0}
     assert writer.wait(timeout=60) == 0
+
+
+_KEYED_APPENDER = """
+import os, struct, sys, time
+from strings_and_coins.io_cache import save_cache
+path, go, first, batches, size = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:])
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(batches):
+    # plausible records with keys of their own: n coins, one string 0-1
+    keys = range(first + size * i, first + size * (i + 1))
+    save_cache(path, [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in keys], append=True)
+"""
+
+
+def test_indexed_load_after_concurrent_appends_and_compactions(tmp_path):
+    # four appenders of one large batch each and one of many small
+    # batches, all re-indexing as they go, beside a compactor
+    path = str(tmp_path / "values.snc")
+    go = str(tmp_path / "go")
+    save_cache(path, {})
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(strings_and_coins.__file__))}
+    jobs = [(2 + 1000 * w, 1, 1000) for w in range(4)] + [(5000, 300, 10)]
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _KEYED_APPENDER, path, go, *map(str, job)], env=env)
+        for job in jobs
+    ]
+    time.sleep(0.5)  # let every writer reach the start line
+    open(go, "w").close()
+    compactions = 0
+    deadline = time.monotonic() + 120
+    while any(p.poll() is None for p in writers) and time.monotonic() < deadline:
+        compact_cache(path)
+        compactions += 1
+    for p in writers:
+        assert p.wait(timeout=60) == 0
+    blob = (tmp_path / "values.snc").read_bytes()
+    index = (tmp_path / "values.snc.idx").read_bytes()
+    assert io_cache._index_head(index, blob) is not None, compactions
+    loaded = load_cache(path)
+    plain = tmp_path / "plain.snc"  # the same bytes with no index: a full screen
+    plain.write_bytes(blob)
+    full = load_cache(str(plain))
+    assert loaded.entries == full.entries
+    assert (loaded.skipped, loaded.records) == (full.skipped, full.records)
+    assert loaded.skipped == 0
+    assert len(loaded.entries) == 7000
+
+
+def test_load_of_a_missing_cache_leaves_no_files(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_cache(str(tmp_path / "values.snc"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_corrupt_tail_is_skipped(tmp_path):

@@ -5,9 +5,14 @@ The reference functions below are kept verbatim from that loader:
 ``unpack_key`` (one ``struct.unpack_from`` per triple), the per-record
 screen ``_plausible_record``, ``load_cache`` and the framing walk with
 which ``compact_cache`` counted records.  The loader must keep and skip
-exactly what they keep and skip, on real keys and on damaged files.
+exactly what they keep and skip, on real keys and on damaged files, and
+so must a load through the ``PATH.idx`` index: on damage appended after
+the indexed bytes, on a damaged index, and on an index left stale by
+an overwrite, a truncation, a flipped byte or a new cache grown in the
+old one's place.
 """
 
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -19,7 +24,8 @@ from hypothesis import strategies as st
 from strings_and_coins.canonical import canonical_key, unpack_key
 from strings_and_coins.families import make
 from strings_and_coins.graph import LoopyMultigraph
-from strings_and_coins.io_cache import CacheFormatError, load_cache
+from strings_and_coins import io_cache
+from strings_and_coins.io_cache import CacheFormatError, compact_cache, load_cache, save_cache
 
 import support
 
@@ -215,3 +221,171 @@ def test_unpack_key_matches_reference_on_malformed_keys():
             unpack_key(key)
     for key in KEYS:
         assert unpack_key(key) == ref_unpack_key(key)
+
+
+# -- the indexed load ------------------------------------------------------------
+
+
+def _batch(rng: random.Random) -> list[tuple[bytes, int]]:
+    # real keys with values in and out of the screen's range, repeats included
+    batch = []
+    for _ in range(rng.randint(1, 6)):
+        key = rng.choice(KEYS)
+        (n,) = struct.unpack_from("<H", key)
+        batch.append((key, rng.randint(-n - 3, n + 3)))
+    return batch
+
+
+def _index_covers(path: str) -> int | None:
+    """The cache bytes that ``PATH.idx`` covers, if it matches the cache."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        with open(path + ".idx", "rb") as fh:
+            head = io_cache._index_head(fh.read(), blob)
+    except FileNotFoundError:
+        return None
+    return None if head is None else head[0]
+
+
+def assert_loads_like_reference(path: str) -> None:
+    """The load equals the reference's full screen of the bytes, and no
+    pool key reads a value that the bytes do not hold."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    ref = ref_load_cache(path)
+    got = load_cache(path)
+    assert got.entries == ref.entries
+    assert len(got.entries) == len(ref.entries)
+    assert (got.skipped, got.records) == (ref.skipped, ref_record_count(blob))
+    for key in KEYS:
+        assert got.entries.get(key) == ref.entries.get(key)
+        assert (key in got.entries) == (key in ref.entries)
+
+
+@pytest.fixture(scope="module")
+def indexed_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("indexed") / "values.snc")
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    damaged=cache_files(),
+    compact=st.booleans(),
+    appends_after=st.integers(0, 3),
+)
+def test_indexed_loader_matches_reference(indexed_path, seed, damaged, compact, appends_after):
+    # an indexed prefix, a damaged body appended past it, then appends
+    # that may re-index a file whose screen stops inside that body
+    rng = random.Random(seed)
+    save_cache(indexed_path, _batch(rng))
+    for _ in range(rng.randint(1, 4)):
+        save_cache(indexed_path, _batch(rng), append=True)
+    if compact:
+        compact_cache(indexed_path)
+    assert _index_covers(indexed_path) is not None
+    with open(indexed_path, "ab") as fh:
+        fh.write(damaged[len(MAGIC) :])
+    assert_loads_like_reference(indexed_path)
+    for _ in range(appends_after):
+        save_cache(indexed_path, _batch(rng), append=True)
+        assert_loads_like_reference(indexed_path)
+    assert _index_covers(indexed_path) is not None
+
+
+def _indexed_cache(path: str) -> bytes:
+    """A compacted, indexed cache with unindexed records after it; its bytes."""
+    rng = random.Random(7)
+    save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[: len(KEYS) // 2]])
+    compact_cache(path)
+    save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[len(KEYS) // 2 :]], append=True)
+    save_cache(path, _batch(rng), append=True)
+    assert _index_covers(path) is not None
+    assert _index_covers(path) < os.path.getsize(path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_overwritten_cache_is_not_read_through_its_old_index(tmp_path):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    with open(path + ".idx", "rb") as fh:
+        old_index = fh.read()
+    save_cache(path, _batch(random.Random(8)))
+    assert not os.path.exists(path + ".idx")
+    assert_loads_like_reference(path)
+    # as if the save had stopped between its write and the index's removal
+    with open(path + ".idx", "wb") as fh:
+        fh.write(old_index)
+    assert_loads_like_reference(path)
+
+
+def test_truncated_cache_is_not_read_through_its_old_index(tmp_path):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    covered = _index_covers(path)
+    for size in (covered - 1, covered - 7, covered // 2, len(MAGIC)):
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+        assert _index_covers(path) is None
+        assert_loads_like_reference(path)
+
+
+def test_flipped_covered_byte_is_not_read_through_the_index(tmp_path):
+    path = str(tmp_path / "values.snc")
+    blob = _indexed_cache(path)
+    covered = _index_covers(path)
+    for pos in range(covered):
+        damaged = bytearray(blob)
+        damaged[pos] ^= 1 << pos % 8
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        if pos < len(MAGIC):
+            with pytest.raises(CacheFormatError):
+                load_cache(path)
+            continue
+        assert _index_covers(path) is None
+        assert_loads_like_reference(path)
+
+
+def test_damaged_index_is_not_used(tmp_path):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    with open(path + ".idx", "rb") as fh:
+        index = fh.read()
+    damages = [index[:size] for size in (0, 40, len(index) - 8, len(index) - 1)]
+    for pos in range(len(index)):
+        flipped = bytearray(index)
+        flipped[pos] ^= 1 << pos % 8
+        damages.append(bytes(flipped))
+    for damaged in damages:
+        with open(path + ".idx", "wb") as fh:
+            fh.write(damaged)
+        assert _index_covers(path) is None
+        assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("same_bytes", [False, True])
+def test_new_cache_beside_an_old_index(tmp_path, same_bytes):
+    # the old cache is deleted and a new one grown in its place, as
+    # between two passes over one cache path; its lock and index stay
+    path = str(tmp_path / "values.snc")
+    blob = _indexed_cache(path)
+    os.remove(path)
+    if same_bytes:
+        for end in [*range(len(MAGIC), len(blob), 5), len(blob)]:
+            with open(path, "wb") as fh:
+                fh.write(blob[:end])
+            assert_loads_like_reference(path)
+        assert _index_covers(path) is not None  # the same bytes: the old index holds
+        return
+    rng = random.Random(9)
+    save_cache(path, _batch(rng), append=True)
+    for _ in range(12):
+        with open(path, "ab") as fh:  # appends that leave the index alone
+            fh.write(b"".join(real_record(rng) for _ in range(3)))
+        assert_loads_like_reference(path)
+        save_cache(path, _batch(rng), append=True)
+        assert_loads_like_reference(path)
+    assert os.path.getsize(path) > len(blob)
