@@ -23,10 +23,13 @@ cache's bytes (and the index's own CRC matches the index); it then
 screens only the records after the covered bytes, and a lookup tries
 those first, then binary-searches the offsets.  Without a matching
 index it screens the whole file.  Either way it keeps, skips and counts
-exactly what a screen of the whole file does.  An append rewrites the
-index when it is missing or stale or when the records after it outgrow
-a quarter of what it covers; a compaction writes it for the file it
-produces; a save that is not an append removes it.
+exactly what a screen of the whole file does.  An append decides from
+the index's header and the file's size alone whether to rewrite the
+index: when the index is missing, covers more bytes than the file held,
+or the records after it outgrow a quarter of what it covers.  Only then
+does it read the file, and it rewrites the index unless the index
+matches and stops at a bad length field.  A compaction writes the index
+for the file it produces; a save that is not an append removes it.
 
 Every access locks ``PATH.lock``, an empty file beside the cache that
 nothing writes or renames, before it opens the cache: a load takes a
@@ -290,6 +293,24 @@ def _read_index(path: str) -> bytes | None:
         return None
 
 
+def _indexed_extent(path: str) -> int | None:
+    """The cache bytes that ``PATH.idx`` claims to cover, read from its
+    header alone, or None when it is missing or not the size its header
+    implies.  Nothing here checks a CRC: ``_index_head`` does."""
+    try:
+        with open(path + _INDEX_SUFFIX, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_INDEX.size)
+    except OSError:
+        return None
+    if len(head) < _INDEX.size:
+        return None
+    magic, covered, _, _, _, keys, _ = _INDEX.unpack(head)
+    if magic != _INDEX_MAGIC or size != _INDEX.size + 8 * keys + 4:
+        return None
+    return covered
+
+
 def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] | None:
     """(covered, skipped, records, stopped) from an index that is
     whole and describes the first ``covered`` bytes of ``blob``, else None."""
@@ -361,9 +382,10 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     ``PATH.lock`` exclusively before it opens the cache and closes the
     cache before it unlocks, so concurrent appenders never split each
     other's records and a load never sees the file empty.  Under the same
-    lock it rebuilds ``PATH.idx`` when the index is missing or stale, or
-    when the records past it outgrow a quarter of the bytes it covers.
-    A save without ``append`` removes the index.
+    lock it rebuilds ``PATH.idx`` when the index's header is missing or
+    covers more bytes than the file held, or when the records past it
+    outgrow a quarter of the bytes it covers; only then does it read the
+    file.  A save without ``append`` removes the index.
     """
     buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
     if not append:
@@ -376,17 +398,20 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
         if fh.seek(0, os.SEEK_END) == 0:
             buf[:0] = MAGIC
         fh.write(buf)
-        fh.seek(0)
-        blob = fh.read()
-        if blob[: len(MAGIC)] == MAGIC:
-            head = _index_head(_read_index(path), blob)
-            if head is None:
-                _reindex(path, blob)
-            else:
+        # the file is read only when the index's header does not rule a
+        # re-index out; a stale index that the header cannot tell from a
+        # fresh one waits for the tail to outgrow it, and loads meanwhile
+        # find its CRC wrong and screen the whole file
+        size = fh.tell()
+        covered = _indexed_extent(path)
+        if covered is None or covered > size - len(buf) or size - covered > covered // _REINDEX_SHARE:
+            fh.seek(0)
+            blob = fh.read()
+            if blob[: len(MAGIC)] == MAGIC:
+                head = _index_head(_read_index(path), blob)
                 # a screen that stopped at a bad length field would stop
                 # there again, so such an index is left as it is
-                covered, _, _, stopped = head
-                if not stopped and len(blob) - covered > covered // _REINDEX_SHARE:
+                if head is None or not head[3]:
                     _reindex(path, blob)
     return len(starts)
 

@@ -28,14 +28,16 @@ Any combination yields the same value; only the work differs.
 and ``iter_table`` streams a family's rows over a parameter range through
 one shared table.
 
-Moves are tried most captures first, ties in sorted order.  The capture
-count of a move is read off the incident counts, so the order is fixed
-before any child exists; children are then built in that order on
-demand, and none is built past an alpha-beta cutoff.  With the table on,
-a node tries one edge class per orbit of the automorphisms that keying
-it found (``canonical.move_classes``), so a child isomorphic to a
-sibling's is neither built nor keyed; without the table nothing is
-keyed, and every class is tried.
+Moves are tried most captures first, then fewest coins offered (left on
+a single string for the opponent to take), then lowest sum of the
+endpoints' string counts, ties in sorted order.  All three are read off
+the incident counts, so the order is fixed before any child exists;
+children are then built in that order on demand, and none is built past
+an alpha-beta cutoff.  With the table on, a node tries one edge class
+per orbit of the automorphisms that keying it found
+(``canonical.move_classes``), so a child isomorphic to a sibling's is
+neither built nor keyed; without the table nothing is keyed, and every
+class is tried.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
 (and ``strategies.best_response_value``, through ``check_depth``) refuse,
@@ -221,13 +223,26 @@ class _Searcher:
         self.deadline = deadline
 
     def _move_order(self, g: LoopyMultigraph, moves: tuple) -> list:
-        """The classes ``moves`` of ``g``, as (a, b, ...) tuples, most
-        captures first, ties in sorted order: the order of their children
-        sorted by (-captured, edge count), since every child has one edge
-        less, without building them."""
+        """The classes ``moves`` of ``g``, as (a, b, ...) tuples, sorted by
+        (-captures, offers, inc[a] + inc[b]), ties in sorted order.
+
+        A cut captures each endpoint it leaves with no string, and offers
+        the opponent each endpoint it leaves with one; a loop counts its
+        coin once.  So captures come first and sacrifices last, as
+        dots-and-boxes solvers order them (Barker & Korf, AAAI 2012), and
+        among cuts that offer alike, the string between the coins with the
+        fewest strings comes first.  All three are read off the incident
+        counts, so the order is fixed before any child exists."""
         inc = g._incident
-        # a vertex with one edge instance left falls to whoever cuts it
-        return sorted(moves, key=lambda t: -((inc[t[0]] == 1) + (t[0] != t[1] and inc[t[1]] == 1)))
+
+        def rank(t: tuple) -> tuple[int, int, int]:
+            na = inc[t[0]]
+            if t[0] == t[1]:
+                return -(na == 1), na == 2, na + na
+            nb = inc[t[1]]
+            return -(na == 1) - (nb == 1), (na == 2) + (nb == 2), na + nb
+
+        return sorted(moves, key=rank)
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         """Fail-soft value of ``g`` for the window (alpha, beta): exact

@@ -1,9 +1,10 @@
 """Shared test fixtures: a blind reference solver and graph corpora.
 
 The oracle here deliberately knows nothing about canonical forms,
-memoization, pruning, or even parallel-edge deduplication: it recurses
-over raw edge instances.  Anything the real solver gets right must agree
-with it on small positions.
+pruning, symmetry, or even parallel-edge deduplication: it recurses over
+raw edge instances, remembering only the values of labelled positions it
+has already met.  Anything the real solver gets right must agree with it
+on small positions.
 
 Expensive corpus evaluations are computed once per test session and
 shared between the unit suites and the acceptance suite.
@@ -21,7 +22,29 @@ from strings_and_coins.solver import SolveOptions, TranspositionTable, best_move
 
 
 def brute_value(g: LoopyMultigraph) -> int:
-    """Blind negamax over raw edge instances: no memo, no pruning, no dedup."""
+    """Blind negamax over raw edge instances, memoised within this call on
+    the labelled signature, which the value of a position is a pure
+    function of.  No canonical keys, no pruning, no dedup, no symmetry."""
+    memo: dict[tuple, int] = {}
+
+    def value(h: LoopyMultigraph) -> int:
+        sig = h.signature()
+        v = memo.get(sig)
+        if v is None:
+            v = memo[sig] = _negamax(h, value)
+        return v
+
+    return value(g)
+
+
+def plain_brute_value(g: LoopyMultigraph) -> int:
+    """``brute_value`` without its memo: the check of the memo itself."""
+    return _negamax(g, plain_brute_value)
+
+
+def _negamax(g: LoopyMultigraph, value) -> int:
+    """Best over every edge instance of ``g`` of what cutting it is worth
+    to the mover, with ``value`` valuing each successor."""
     if g.edge_count == 0:
         return 0
     best = None
@@ -30,9 +53,9 @@ def brute_value(g: LoopyMultigraph) -> int:
         for _ in range(mult):
             out = g.remove_edge((a, b))
             if out.captured:
-                v = out.captured + brute_value(out.successor)
+                v = out.captured + value(out.successor)
             else:
-                v = -brute_value(out.successor)
+                v = -value(out.successor)
             if best is None or v > best:
                 best = v
     return best

@@ -9,7 +9,7 @@ exactly what they keep and skip, on real keys and on damaged files, and
 so must a load through the ``PATH.idx`` index: on damage appended after
 the indexed bytes, on a damaged index, and on an index left stale by
 an overwrite, a truncation, a flipped byte or a new cache grown in the
-old one's place.
+old one's place.  An append reads the cache only when a re-index is due.
 """
 
 import os
@@ -389,3 +389,58 @@ def test_new_cache_beside_an_old_index(tmp_path, same_bytes):
         save_cache(path, _batch(rng), append=True)
         assert_loads_like_reference(path)
     assert os.path.getsize(path) > len(blob)
+
+
+def _appends_until_reindexed(path: str, monkeypatch) -> int:
+    """Append batches until one re-indexes the cache, checking that every
+    append before it leaves the index alone and reads no cache byte
+    through ``_index_head``; the number of those appends."""
+    rng = random.Random(11)
+    reads = []
+    head = io_cache._index_head
+    monkeypatch.setattr(io_cache, "_index_head", lambda index, blob: reads.append(len(blob)) or head(index, blob))
+    with open(path + ".idx", "rb") as fh:
+        covered = io_cache._INDEX.unpack_from(fh.read())[1]
+    quiet = 0
+    while True:
+        with open(path + ".idx", "rb") as fh:
+            index = fh.read()
+        save_cache(path, _batch(rng), append=True)
+        size = os.path.getsize(path)
+        if size - covered > covered // io_cache._REINDEX_SHARE:
+            assert reads
+            assert _index_covers(path) == size
+            return quiet
+        assert reads == []
+        with open(path + ".idx", "rb") as fh:
+            assert fh.read() == index
+        quiet += 1
+
+
+def test_append_reads_the_cache_only_when_a_reindex_is_due(tmp_path, monkeypatch):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    compact_cache(path)
+    assert _appends_until_reindexed(path, monkeypatch) > 0
+    monkeypatch.undo()
+    assert_loads_like_reference(path)
+
+
+def test_stale_index_that_covers_no_more_than_the_file_waits_for_its_reindex(tmp_path, monkeypatch):
+    # a flipped covered byte leaves the index's header as it was, so appends
+    # keep it until their records outgrow it; loads screen the whole file
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    compact_cache(path)
+    with open(path, "r+b") as fh:  # the low byte of the last value
+        fh.seek(-2, os.SEEK_END)
+        low = fh.read(1)[0]
+        fh.seek(-2, os.SEEK_END)
+        fh.write(bytes([low ^ 1]))
+    assert _index_covers(path) is None
+    save_cache(path, _batch(random.Random(12)), append=True)
+    assert _index_covers(path) is None
+    assert_loads_like_reference(path)
+    assert _appends_until_reindexed(path, monkeypatch) > 0
+    monkeypatch.undo()
+    assert_loads_like_reference(path)

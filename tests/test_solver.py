@@ -16,6 +16,7 @@ from strings_and_coins.solver import (
     SolveOptions,
     TranspositionTable,
     ValueConsistencyError,
+    _Searcher,
     _check_searchable,
     best_move,
     iter_table,
@@ -59,6 +60,32 @@ def test_oracle_equivalence():
     """Memoized, pruned search equals the blind instance-level recursion."""
     for g, expect in support.oracle_results():
         assert solve(g).differential == expect, g.signature()
+
+
+def test_memoised_oracle_matches_plain_recursion():
+    """The oracle's memo changes no value: the unmemoised recursion agrees
+    on every corpus graph below 9 strings."""
+    checked = 0
+    for g, expect in support.oracle_results():
+        if g.edge_count < 9:
+            assert support.plain_brute_value(g) == expect, g.signature()
+            checked += 1
+    assert checked == 293
+
+
+@pytest.mark.parametrize("order", ["signature", "reversed", "shuffled"])
+def test_move_order_never_changes_a_value(monkeypatch, order):
+    """Null windows and two-bound table entries are sound under any move
+    order, not only the one the search uses."""
+    rng = random.Random(2012)
+    reorder = {
+        "signature": list,
+        "reversed": lambda moves: list(reversed(moves)),
+        "shuffled": lambda moves: rng.sample(moves, len(moves)),
+    }[order]
+    monkeypatch.setattr(_Searcher, "_move_order", lambda self, g, moves: reorder(moves))
+    for g, expect in support.oracle_results():
+        assert solve(g).differential == expect, (order, g.signature())
 
 
 def test_option_invariance():
@@ -336,13 +363,13 @@ def test_stats_populated():
 # tries moves, to the moves it tries, or to where it cuts off, shows up
 # here.
 _SEARCH_TRACE = [
-    ("complete", 6, SolveOptions(), (4, 145, 167)),
-    ("prism", 5, SolveOptions(), (6, 436, 487)),
-    ("wheel", 7, SolveOptions(), (-4, 423, 493)),
-    ("balloon_path", 8, SolveOptions(), (0, 812, 1122)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 425, 538)),
+    ("complete", 6, SolveOptions(), (4, 130, 103)),
+    ("prism", 5, SolveOptions(), (6, 325, 274)),
+    ("wheel", 7, SolveOptions(), (-4, 267, 192)),
+    ("balloon_path", 8, SolveOptions(), (0, 723, 674)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 477, 346)),
     ("friendship", 5, SolveOptions(), (-3, 48, 33)),
-    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 876, 0)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 538, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
 _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
@@ -354,10 +381,22 @@ def test_search_trace_is_pinned(family, param, opts, expect):
     assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == expect
 
 
-@pytest.mark.parametrize("family,params", [("complete", (6,)), ("complete", (7,)), ("prism", (5,)), ("petersen", ())],
-                         ids=["complete6", "complete7", "prism5", "petersen"])
+_PRUNING_CASES = [
+    ("complete", (5,)),
+    ("complete", (6,)),
+    ("complete", (7,)),
+    ("prism", (5,)),
+    ("petersen", ()),
+    ("wheel", (7,)),
+    ("wheel", (8,)),
+    ("balloon_path", (8,)),
+    ("ferris_wheel", (7,)),
+    ("ferris_wheel", (8,)),
+]
+
+
+@pytest.mark.parametrize("family,params", _PRUNING_CASES, ids=[f + "".join(map(str, p)) for f, p in _PRUNING_CASES])
 def test_pruning_expands_no_more_nodes(family, params):
-    # complete(5) is left out: pruned search still expands 35 nodes to 33
     g = make(family, *params)
     pruned = solve(g)
     plain = solve(g, SolveOptions(pruning=False))
@@ -367,9 +406,9 @@ def test_pruning_expands_no_more_nodes(family, params):
 
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 144, 181),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 466, 616),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 867, 1308),
+        ("complete", 6): (EdgeRef(0, 1), 4, 129, 117),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 378, 375),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 835, 937),
         ("friendship", 5): (EdgeRef(0, 1), -3, 48, 48),
     }
     for (family, param), want in expect.items():
