@@ -7,15 +7,22 @@ too deep to search, 3 time-budget abort.  The value cache defaults to
 the path in ``SNC_CACHE`` when set; ``--no-memo`` neither reads nor
 writes it.  ``solve``, ``bestmove`` and ``table`` append the values they
 proved to the cache on every exit, a budget abort included.
+
+``run`` writes everything to the ``out`` and ``err`` streams it is given,
+argparse's usage errors and ``--help`` text included.  The parser is
+built once per process, on the first ``run``, and shared by every later
+call; nothing changes it after it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import io_cache
 from .canonical import KeyLimitError
@@ -100,8 +107,11 @@ def _solver_options(args: argparse.Namespace, err) -> tuple[str | None, SolveOpt
     table = None
     if path is not None:
         table = TranspositionTable()
-        if os.path.exists(path):
+        try:
             loaded = io_cache.load_cache(path)
+        except FileNotFoundError:  # no cache yet, or removed since: the first append makes it
+            pass
+        else:
             table.seed(loaded.entries)
             if loaded.skipped:
                 print(f"warning: {path}: skipped {loaded.skipped} corrupt record(s)", file=err)
@@ -221,7 +231,10 @@ def _add_position_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument("--edges", metavar="FILE", help="edge-list file, one 'u v' pair per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``snc`` parser, built on the first call; every call returns
+    that same parser, which callers must not change."""
     ap = argparse.ArgumentParser(
         prog="snc",
         description="Exact strings-and-coins solving on loopy multigraphs.",
@@ -268,11 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
+    """Run one ``snc`` command and return its exit code.  While ``argv`` is
+    parsed, ``sys.stdout`` and ``sys.stderr`` are redirected to ``out`` and
+    ``err`` for the whole process, other threads included."""
     out = out or sys.stdout
     err = err or sys.stderr
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        # argparse prints usage errors and help to sys.stderr and sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     budget = getattr(args, "time_budget", None)  # verify and cache take none

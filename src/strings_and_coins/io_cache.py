@@ -17,18 +17,20 @@ more skip, so a crash mid-write never poisons earlier results.
 all of it; ``SNC1`` bytes and their meaning do not depend on it, it is
 safe to delete, and ``snc cache --compact`` rebuilds it.  It records how
 many leading cache bytes it covers and their ``zlib.crc32``, what the
-screen counted in them, and the offset of each kept key's last record,
-sorted by key bytes.  A load trusts it only when that CRC matches the
+screen counted in them, the ``zlib.crc32`` of the last 4 KiB or fewer of
+the covered bytes, and the offset of each kept key's last record, sorted
+by key bytes.  A load trusts it only when that CRC matches the
 cache's bytes (and the index's own CRC matches the index); it then
 screens only the records after the covered bytes, and a lookup tries
 those first, then binary-searches the offsets.  Without a matching
 index it screens the whole file.  Either way it keeps, skips and counts
 exactly what a screen of the whole file does.  An append decides from
-the index's header and the file's size alone whether to rewrite the
-index: when the index is missing, covers more bytes than the file held,
-or the records after it outgrow a quarter of what it covers.  Only then
-does it read the file, and it rewrites the index unless the index
-matches and stops at a bad length field.  A compaction writes the index
+the index's header, the file's size and one read of the last covered
+4 KiB whether to rewrite the index: when the index is missing, covers
+more bytes than the file held, no longer matches those 4 KiB, or the
+records after it outgrow a quarter of what it covers.  Only then does it
+read the whole file, and it rewrites the index unless the index matches
+and stops at a bad length field.  A compaction writes the index
 for the file it produces; a save that is not an append removes it.
 
 Every access locks ``PATH.lock``, an empty file beside the cache that
@@ -73,12 +75,13 @@ _I16 = struct.Struct("<h")
 
 # PATH.idx: this header, then a u64 record offset per key, then a crc32
 # of both; the header is the index's magic, the cache bytes it covers,
-# their crc32, the records, skipped records and keys among them, and
-# whether a bad length field ends them
-_INDEX = struct.Struct("<4sQIQQQ?")
+# their crc32, the records, skipped records and keys among them, whether
+# a bad length field ends them, and the crc32 of the last _WINDOW of them
+_INDEX = struct.Struct("<4sQIQQQ?I")
 _INDEX_MAGIC = b"SNCX"
 _INDEX_SUFFIX = ".idx"
 _REINDEX_SHARE = 4  # an append re-indexes past covered / 4 unindexed bytes
+_WINDOW = 4096  # covered bytes that an append checks against the index
 _UNSEEN = object()
 
 
@@ -293,10 +296,11 @@ def _read_index(path: str) -> bytes | None:
         return None
 
 
-def _indexed_extent(path: str) -> int | None:
-    """The cache bytes that ``PATH.idx`` claims to cover, read from its
-    header alone, or None when it is missing or not the size its header
-    implies.  Nothing here checks a CRC: ``_index_head`` does."""
+def _indexed_extent(path: str) -> tuple[int, int] | None:
+    """The cache bytes that ``PATH.idx`` claims to cover and the CRC of
+    their last ``_WINDOW``, read from its header alone, or None when it is
+    missing or not the size its header implies.  Nothing here checks the
+    index's own CRC: ``_index_head`` does."""
     try:
         with open(path + _INDEX_SUFFIX, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -305,10 +309,18 @@ def _indexed_extent(path: str) -> int | None:
         return None
     if len(head) < _INDEX.size:
         return None
-    magic, covered, _, _, _, keys, _ = _INDEX.unpack(head)
+    magic, covered, _, _, _, keys, _, window_crc = _INDEX.unpack(head)
     if magic != _INDEX_MAGIC or size != _INDEX.size + 8 * keys + 4:
         return None
-    return covered
+    return covered, window_crc
+
+
+def _window_crc(fh, covered: int) -> int:
+    """The CRC of the last ``_WINDOW`` or fewer of the first ``covered``
+    bytes of the file open as ``fh``."""
+    start = max(0, covered - _WINDOW)
+    fh.seek(start)
+    return zlib.crc32(fh.read(covered - start))
 
 
 def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] | None:
@@ -316,7 +328,7 @@ def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] 
     whole and describes the first ``covered`` bytes of ``blob``, else None."""
     if index is None or len(index) < _INDEX.size + 4:
         return None
-    magic, covered, crc, records, skipped, keys, stopped = _INDEX.unpack_from(index)
+    magic, covered, crc, records, skipped, keys, stopped, _ = _INDEX.unpack_from(index)
     whole = memoryview(index)[:-4]
     if (
         magic != _INDEX_MAGIC
@@ -340,8 +352,9 @@ def _write_index(path: str, blob: bytes, covered: int, skipped: int, records: in
     """Write ``PATH.idx`` for the first ``covered`` bytes of ``blob``, whose
     kept keys' records start at ``offsets`` in key order.  An index that
     cannot be written is left out: loads then screen the whole file."""
-    crc = zlib.crc32(memoryview(blob)[:covered])
-    head = _INDEX.pack(_INDEX_MAGIC, covered, crc, records, skipped, len(offsets), covered < len(blob))
+    view = memoryview(blob)
+    crc, window = zlib.crc32(view[:covered]), zlib.crc32(view[max(0, covered - _WINDOW) : covered])
+    head = _INDEX.pack(_INDEX_MAGIC, covered, crc, records, skipped, len(offsets), covered < len(blob), window)
     if sys.byteorder == "big":
         offsets.byteswap()
     body = head + offsets.tobytes()
@@ -383,9 +396,11 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     cache before it unlocks, so concurrent appenders never split each
     other's records and a load never sees the file empty.  Under the same
     lock it rebuilds ``PATH.idx`` when the index's header is missing or
-    covers more bytes than the file held, or when the records past it
-    outgrow a quarter of the bytes it covers; only then does it read the
-    file.  A save without ``append`` removes the index.
+    covers more bytes than the file held, when the records past it
+    outgrow a quarter of the bytes it covers, or when the last 4 KiB it
+    covers no longer match its header; it reads those 4 KiB, and the
+    whole file only for a rebuild.  A save without ``append`` removes the
+    index.
     """
     buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
     if not append:
@@ -398,13 +413,18 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
         if fh.seek(0, os.SEEK_END) == 0:
             buf[:0] = MAGIC
         fh.write(buf)
-        # the file is read only when the index's header does not rule a
-        # re-index out; a stale index that the header cannot tell from a
-        # fresh one waits for the tail to outgrow it, and loads meanwhile
-        # find its CRC wrong and screen the whole file
+        # the whole file is read only when the index's header and its last
+        # covered 4 KiB do not rule a re-index out; an index gone stale
+        # before those 4 KiB waits for the tail to outgrow it, and loads
+        # meanwhile find its CRC wrong and screen the whole file
         size = fh.tell()
-        covered = _indexed_extent(path)
-        if covered is None or covered > size - len(buf) or size - covered > covered // _REINDEX_SHARE:
+        extent = _indexed_extent(path)
+        if (
+            extent is None
+            or extent[0] > size - len(buf)
+            or size - extent[0] > extent[0] // _REINDEX_SHARE
+            or _window_crc(fh, extent[0]) != extent[1]
+        ):
             fh.seek(0)
             blob = fh.read()
             if blob[: len(MAGIC)] == MAGIC:

@@ -5,13 +5,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from strings_and_coins import claims
+from strings_and_coins import claims, io_cache
 from strings_and_coins.claims import ClaimReport
 from strings_and_coins.cli import CACHE_ENV, run
 from strings_and_coins.families import make
@@ -380,6 +381,113 @@ def test_missing_cache_is_named_and_leaves_no_lock(tmp_path, argv, where):
 def test_no_arguments_usage():
     code, _, _ = invoke()
     assert code == 2
+
+
+def test_usage_error_goes_to_the_given_err(capsys):
+    code, out, err = invoke("solve")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: snc solve")
+    assert "one of the arguments --family --edges is required" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_out(capsys):
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: snc")
+    assert "bestmove" in out
+    assert capsys.readouterr() == ("", "")
+
+
+_COUNT_PARSERS = """
+import argparse, io, json
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+counts = []
+import strings_and_coins
+counts.append(built)
+from strings_and_coins import cli
+counts.append(built)
+for argv in (["verify", "--claim", "cycle_p2"], ["solve"]):
+    cli.run(argv, io.StringIO(), io.StringIO())
+    counts.append(built)
+print(json.dumps(counts))
+"""
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
+    src = os.path.dirname(os.path.dirname(claims.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_package, after_cli, after_first_run, after_second_run = json.loads(proc.stdout)
+    assert (after_package, after_cli) == (0, 0)
+    assert after_first_run > 0
+    assert after_second_run == after_first_run
+
+
+# elapsed_ms, the one field that two runs of the same command may differ in
+_ELAPSED = re.compile(r'("elapsed_ms": |\t)\d+(\}?)$', re.MULTILINE)
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    cache = str(tmp_path / "values.snc")
+    session = [
+        ("solve", "--family", "cycle", "5", "--json"),
+        ("solve", "--family", "cycle", "4", "--json", "--tsv"),
+        ("solve", "--family", "cycle", "5"),
+        ("table", "--family", "wheel", "--from", "3", "--to", "4"),
+        ("verify", "--claim", "cycle_p2"),
+        ("cache", "--compact", cache),
+    ]
+
+    def one_pass():
+        key = canonical_key(make("cycle", 3))
+        save_cache(cache, [(key, -3), (key, -3)])
+        return [(code, _ELAPSED.sub(r"\g<1>0\2", out), err) for code, out, err in (invoke(*a) for a in session)]
+
+    first = one_pass()
+    assert first == one_pass()
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 2, 0, 0, 0, 0]
+    assert json_rows(first[0][1])[0]["differential"] == -5
+    assert "not allowed with argument" in first[1][2]
+    assert tsv_rows(first[2][1])[0]["differential"] == "-5"
+    assert first[5][1] == f"compacted {cache}: 2 -> 1 record(s)\n"
+
+
+def test_cache_removed_before_its_load_is_treated_as_absent(tmp_path, monkeypatch):
+    cache = str(tmp_path / "values.snc")
+    save_cache(cache, [(canonical_key(make("path", 5)), 5)])
+    load = io_cache.load_cache
+
+    def load_after_removal(path):
+        os.remove(path)
+        return load(path)
+
+    monkeypatch.setattr(io_cache, "load_cache", load_after_removal)
+    code, out, err = invoke("solve", "--family", "cycle", "4", "--cache", cache, "--json")
+    assert code == 0, err
+    (row,) = json_rows(out)
+    assert (row["differential"], row["memo_hits"]) == (-4, 0)
+    assert f"appended {len(load(cache).entries)} record(s)" in err
+    assert canonical_key(make("cycle", 4)) in load(cache).entries
+
+
+def test_cache_that_cannot_be_read_exits_2(tmp_path):
+    cache = tmp_path / "values.snc"
+    cache.mkdir()
+    code, out, err = invoke("solve", "--family", "cycle", "4", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"'{cache}'" in err
 
 
 def test_solver_flag_passthrough():

@@ -9,9 +9,12 @@ exactly what they keep and skip, on real keys and on damaged files, and
 so must a load through the ``PATH.idx`` index: on damage appended after
 the indexed bytes, on a damaged index, and on an index left stale by
 an overwrite, a truncation, a flipped byte or a new cache grown in the
-old one's place.  An append reads the cache only when a re-index is due.
+old one's place.  An append reads only the last 4 KiB that the index
+covers unless a re-index is due, and that read catches a stale index
+whose damage lies in those bytes.
 """
 
+import itertools
 import os
 import random
 import struct
@@ -426,12 +429,13 @@ def test_append_reads_the_cache_only_when_a_reindex_is_due(tmp_path, monkeypatch
     assert_loads_like_reference(path)
 
 
-def test_stale_index_that_covers_no_more_than_the_file_waits_for_its_reindex(tmp_path, monkeypatch):
-    # a flipped covered byte leaves the index's header as it was, so appends
-    # keep it until their records outgrow it; loads screen the whole file
+def test_append_reindexes_a_stale_index_that_covers_no_more_than_the_file(tmp_path):
+    # a flipped byte among the last covered 4 KiB leaves the index's header
+    # as it was, but the append's check of those bytes catches it
     path = str(tmp_path / "values.snc")
     _indexed_cache(path)
     compact_cache(path)
+    assert os.path.getsize(path) <= io_cache._WINDOW
     with open(path, "r+b") as fh:  # the low byte of the last value
         fh.seek(-2, os.SEEK_END)
         low = fh.read(1)[0]
@@ -439,8 +443,31 @@ def test_stale_index_that_covers_no_more_than_the_file_waits_for_its_reindex(tmp
         fh.write(bytes([low ^ 1]))
     assert _index_covers(path) is None
     save_cache(path, _batch(random.Random(12)), append=True)
+    assert _index_covers(path) == os.path.getsize(path)
+    assert_loads_like_reference(path)
+
+
+def test_stale_index_flipped_before_the_checked_bytes_waits_for_its_reindex(tmp_path, monkeypatch):
+    # a flip before the last covered 4 KiB passes the append's check, so
+    # appends keep the index until their records outgrow it; loads find its
+    # CRC wrong and screen the whole file
+    path = str(tmp_path / "values.snc")
+    pairs = itertools.combinations_with_replacement(range(200), 2)
+    # 8-byte keys of the canonical layout: 200 coins, one string between a and b
+    save_cache(path, [(struct.pack("<4H", 200, a, b, 1), 0) for a, b in itertools.islice(pairs, 600)])
+    compact_cache(path)
+    covered = _index_covers(path)
+    assert covered > io_cache._WINDOW + 16
+    with open(path, "r+b") as fh:  # the low byte of the first value
+        fh.seek(len(MAGIC) + 4 + 8)
+        fh.write(b"\x01")
+    assert _index_covers(path) is None
+    save_cache(path, _batch(random.Random(12)), append=True)
+    with open(path + ".idx", "rb") as fh:
+        assert io_cache._INDEX.unpack_from(fh.read())[1] == covered
     assert _index_covers(path) is None
     assert_loads_like_reference(path)
     assert _appends_until_reindexed(path, monkeypatch) > 0
     monkeypatch.undo()
+    assert _index_covers(path) == os.path.getsize(path)
     assert_loads_like_reference(path)
