@@ -36,6 +36,7 @@ from .solver import (
     SolveOptions,
     TranspositionTable,
     best_move,
+    check_family_depth,
     iter_table,
     solve,
 )
@@ -95,6 +96,7 @@ def _family_args(tokens: list[str]) -> tuple[str, tuple[int, ...]]:
 def _load_position(args: argparse.Namespace) -> tuple[str, tuple[int, ...], LoopyMultigraph]:
     if args.family:
         spec = parse_family(*_family_args(args.family))
+        check_family_depth(spec)
         return spec.family, spec.params, generate(spec)
     g = io_cache.read_edge_list(args.edges)
     return "custom", (), g

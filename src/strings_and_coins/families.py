@@ -4,7 +4,7 @@ Every family builds a concrete ``LoopyMultigraph`` on the vertex ids
 0..n-1 with a fixed, documented layout, so results are reproducible and
 positions can be cross-referenced by label.  ``parse_family`` validates
 a (name, parameters) pair into a ``FamilySpec``; ``generate`` builds the
-graph.
+graph, and ``counts`` gives its string and coin counts without building it.
 """
 
 from __future__ import annotations
@@ -171,26 +171,28 @@ def _edge_list_params(params: tuple[int, ...], want_tree: bool) -> list[tuple[in
     return edges
 
 
-# name -> (arity, minimums per position, builder); arity None = even-length edge list
+# name -> (arity, minimums per position, builder, counts); arity None =
+# even-length edge list.  ``counts`` gives the (strings, coins) that the
+# builder's position has, from the parameters alone
 _FAMILIES: dict = {
-    "complete": (1, (1,), _complete),
-    "complete_bipartite": (2, (1, 1), _complete_bipartite),
-    "cycle": (1, (1,), _cycle),
-    "path": (1, (1,), _path),
-    "tree": (None, None, None),
-    "friendship": (1, (1,), _friendship),
-    "pinwheel": (1, (1,), _pinwheel),
-    "loopy_star": (1, (1,), _loopy_star),
-    "generalized_loopy_star": (2, (1, 1), _generalized_loopy_star),
-    "loopy_starlike": (3, (1, 1, 2), _loopy_starlike),
-    "loopy_cycle": (2, (1, 1), _loopy_cycle),
-    "wheel": (1, (3,), _wheel),
-    "ferris_wheel": (1, (1,), _ferris_wheel),
-    "balloon_path": (1, (1,), _balloon_path),
-    "hypercube": (1, (1,), _hypercube),
-    "prism": (1, (3,), _prism),
-    "petersen": (0, (), _petersen),
-    "custom": (None, None, None),
+    "complete": (1, (1,), _complete, lambda n: (n * (n - 1) // 2, n if n > 1 else 0)),
+    "complete_bipartite": (2, (1, 1), _complete_bipartite, lambda a, b: (a * b, a + b)),
+    "cycle": (1, (1,), _cycle, lambda n: (n, n)),
+    "path": (1, (1,), _path, lambda n: (n - 1, n if n > 1 else 0)),
+    "tree": (None, None, None, None),
+    "friendship": (1, (1,), _friendship, lambda n: (3 * n, 2 * n + 1)),
+    "pinwheel": (1, (1,), _pinwheel, lambda n: (4 * n, 3 * n + 1)),
+    "loopy_star": (1, (1,), _loopy_star, lambda n: (2 * n, n + 1)),
+    "generalized_loopy_star": (2, (1, 1), _generalized_loopy_star, lambda x, y: (x * (y + 1), x + 1)),
+    "loopy_starlike": (3, (1, 1, 2), _loopy_starlike, lambda n, m, k: (n * (k - 1 + m), n * (k - 1) + 1)),
+    "loopy_cycle": (2, (1, 1), _loopy_cycle, lambda n, k: (n + k, n)),
+    "wheel": (1, (3,), _wheel, lambda s: (2 * s, s + 1)),
+    "ferris_wheel": (1, (1,), _ferris_wheel, lambda n: (2 * n, n)),
+    "balloon_path": (1, (1,), _balloon_path, lambda n: (2 * n - 1, n)),
+    "hypercube": (1, (1,), _hypercube, lambda d: (d << (d - 1), 1 << d)),
+    "prism": (1, (3,), _prism, lambda n: (3 * n, 2 * n)),
+    "petersen": (0, (), _petersen, lambda: (15, 10)),
+    "custom": (None, None, None, None),
 }
 
 
@@ -205,7 +207,7 @@ def parse_family(name: str, params: list[int] | tuple[int, ...]) -> FamilySpec:
             f"unknown family {name!r}; available: {', '.join(family_names())}"
         )
     params = tuple(int(p) for p in params)
-    arity, mins, _ = _FAMILIES[name]
+    arity, mins, _, _ = _FAMILIES[name]
     if arity is None:
         _edge_list_params(params, want_tree=(name == "tree"))
         return FamilySpec(name, params)
@@ -219,9 +221,17 @@ def parse_family(name: str, params: list[int] | tuple[int, ...]) -> FamilySpec:
     return FamilySpec(name, params)
 
 
+def counts(spec: FamilySpec) -> tuple[int, int]:
+    """The (strings, coins) of ``generate(spec)``, without building it."""
+    arity, _, _, count = _FAMILIES[spec.family]
+    if arity is None:
+        return len(spec.params) // 2, len(set(spec.params))
+    return count(*spec.params)
+
+
 def generate(spec: FamilySpec) -> LoopyMultigraph:
     """Build the graph for a validated ``FamilySpec``."""
-    arity, _, builder = _FAMILIES[spec.family]
+    arity, _, builder, _ = _FAMILIES[spec.family]
     if arity is None:
         edges = _edge_list_params(spec.params, want_tree=(spec.family == "tree"))
     else:

@@ -22,6 +22,9 @@ Search options layer on top of that definition without changing it:
                     beats alpha but not beta.  A table entry then holds a
                     (lower, upper) pair of fail-soft bounds that every
                     visit tightens; without pruning every entry is exact.
+                    A position with a safe capture (below) is not searched
+                    at all: the capture is taken at once, and the position
+                    is neither keyed, probed, stored nor counted as a node.
 
 Any combination yields the same value; only the work differs.
 ``solve`` values one position, ``best_move`` also names an optimal move,
@@ -39,11 +42,36 @@ per orbit of the automorphisms that keying it found
 neither built nor keyed; without the table nothing is keyed, and every
 class is tried.
 
+A safe capture cuts the one string e of a coin v when e is a loop or its
+other end u holds other than two strings (e included).  Then
+value(g) = captured + value(g - e), so declining it never does better
+(Berlekamp, *The Dots and Boxes Game*, 2000).  By induction on the
+number of strings, with H = g - e and c the coins e captures:
+
+* e is the only string of its component (a lone loop, or u holds nothing
+  else).  Every other move m leaves that component in place, so
+  value(g_m) = c + value(H_m).  A move m capturing k is worth
+  k + c + value(H_m) <= c + value(H); one capturing nothing is worth
+  -c - value(H_m) <= c + value(H).
+* u holds three or more strings.  Every other move m is a move of H with
+  the same captures.  If u keeps two or more strings in H_m, induction
+  and the same arithmetic apply.  Otherwise m cuts one of u's three
+  strings.  If it captures nothing, the opponent may take v, so
+  value(g_m) >= 1 + value(H_m) and m is worth at most -1 - value(H_m)
+  <= c + value(H).  If it captures, it takes a coin w hanging on u by one
+  string, and g_m is g - e with v and w swapped, so m is worth exactly
+  what e is.
+
+On a neighbour with exactly two strings the rule is false: in
+(0,1) (0,2) (1,2) (3,4) loop@4 the mover wins by one, but taking coin 3
+first loses by one.
+
 The search recurses once per cut string, so ``solve`` and ``best_move``
 (and ``strategies.best_response_value``, through ``check_depth``) refuse,
 with ``DepthLimitError``, a position whose strings would not fit under
 ``sys.getrecursionlimit()`` together with canonical keying's own
-recursion.
+recursion.  ``iter_table`` refuses such a row, through
+``check_family_depth``, before building it.
 """
 
 from __future__ import annotations
@@ -97,13 +125,25 @@ def _check_searchable(g: LoopyMultigraph) -> None:
 def check_depth(g: LoopyMultigraph) -> None:
     """Raise ``DepthLimitError`` when a search of ``g`` that recurses once
     per cut string could outgrow ``sys.getrecursionlimit()``."""
+    _check_depth_counts(g.edge_count, g.vertex_count)
+
+
+def check_family_depth(spec: FamilySpec) -> None:
+    """``check_depth`` of ``generate(spec)``, read off the family's counts,
+    so a row too deep to search is refused before any string is built."""
+    from .families import counts
+
+    _check_depth_counts(*counts(spec))
+
+
+def _check_depth_counts(strings: int, coins: int) -> None:
     # One search frame per cut string; keying a position below that
     # recurses once per individualised vertex, at most its vertex count.
-    need = g.edge_count + g.vertex_count + _STACK_MARGIN
+    need = strings + coins + _STACK_MARGIN
     limit = sys.getrecursionlimit()
     if need > limit:
         raise DepthLimitError(
-            f"position has {g.edge_count} strings on {g.vertex_count} coins; "
+            f"position has {strings} strings on {coins} coins; "
             f"searching it needs a recursion limit of about {need}, the limit is {limit}"
         )
 
@@ -176,6 +216,8 @@ class SearchStats:
     memo_hits: int = 0
     # edge classes not tried because an earlier class shares their orbit
     symmetric_skips: int = 0
+    # safe captures taken at once, without keying or expanding the position
+    forced_captures: int = 0
     elapsed: float = 0.0
 
 
@@ -244,6 +286,25 @@ class _Searcher:
 
         return sorted(moves, key=rank)
 
+    @staticmethod
+    def _safe_capture(g: LoopyMultigraph) -> tuple | None:
+        """The first class (a, b, m) of ``g``, in signature order, whose cut
+        captures a coin v with no loss: v holds this one string, and it is
+        a loop or its other end holds other than two strings.  None when
+        no class qualifies."""
+        inc = g._incident
+        for t in g._sig:
+            a, b = t[0], t[1]
+            if a == b:
+                if inc[a] == 1:
+                    return t
+            elif inc[a] == 1:
+                if inc[b] != 2:
+                    return t
+            elif inc[b] == 1 and inc[a] != 2:
+                return t
+        return None
+
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         """Fail-soft value of ``g`` for the window (alpha, beta): exact
         strictly inside it, an upper bound at or below alpha, a lower
@@ -281,6 +342,13 @@ class _Searcher:
                 return r
             if -r >= beta:
                 return -r
+            t = self._safe_capture(g)
+            if t is not None:
+                # value(g) = captured + value(successor): see the module
+                # docstring.  g is neither keyed nor stored
+                self.stats.forced_captures += 1
+                captured, succ = g._child(t[0], t[1])
+                return captured + self.search(succ, alpha - captured, beta - captured)
             a = alpha if alpha > -r else -r
             b = beta if beta < r else r
         else:
@@ -446,6 +514,7 @@ def iter_table(
     deadline = _deadline(opts)
     for p in range(start, stop + 1):
         spec = parse_family(family, (p,) + fixed)
+        check_family_depth(spec)
         try:
             gv = _solve(generate(spec), opts, deadline)
         except SolveBudgetExceeded as exc:

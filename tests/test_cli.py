@@ -12,12 +12,13 @@ import time
 
 import pytest
 
-from strings_and_coins import claims, io_cache
+from strings_and_coins import claims, families, io_cache
 from strings_and_coins.claims import ClaimReport
 from strings_and_coins.cli import CACHE_ENV, run
 from strings_and_coins.families import make
 from strings_and_coins.io_cache import load_cache, save_cache
 from strings_and_coins.canonical import canonical_key
+from strings_and_coins.solver import DepthLimitError, check_depth
 
 import support
 
@@ -109,6 +110,34 @@ def test_solve_edges_too_deep_exits_2(tmp_path):
     assert code == 0
     (row,) = json_rows(out)
     assert (row["p1"], row["p2"]) == (0, 2)
+
+
+def _refuse_to_build(monkeypatch, name):
+    """Make building family ``name`` fail the test."""
+    arity, mins, _, count = families._FAMILIES[name]
+
+    def builder(*params):
+        raise AssertionError(f"{name}{params} was built")
+
+    monkeypatch.setitem(families._FAMILIES, name, (arity, mins, builder, count))
+
+
+@pytest.mark.parametrize("command", ["solve", "bestmove", "table"])
+def test_family_too_deep_is_refused_before_it_is_built(monkeypatch, command):
+    # the refusal is check_depth's own, read off the family's counts
+    with pytest.raises(DepthLimitError) as exc:
+        check_depth(make("path", 2000))
+    _refuse_to_build(monkeypatch, "path")
+    _refuse_to_build(monkeypatch, "complete")
+    rows = ("--from", "2000", "--to", "2000") if command == "table" else ("2000",)
+    code, out, err = invoke(command, "--family", "path", *rows, "--json")
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    # K(100000) would hold about 5 * 10^9 strings
+    rows = ("--from", "100000", "--to", "100000") if command == "table" else ("100000",)
+    code, out, err = invoke(command, "--family", "complete", *rows, "--time-budget", "1", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: position has 4999950000 strings on 100000 coins; ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -244,11 +273,11 @@ def test_table_budget_abort_keeps_rows():
 
 
 def test_table_budget_covers_the_whole_run():
-    # wheel 3..10 takes about 2 s, and the rows before wheel(10) take well
+    # wheel 3..12 takes about 1.7 s, and the rows before wheel(12) take
     # under 0.6 s each: a budget per row would run past 0.9 s
     start = time.monotonic()
     code, out, err = invoke(
-        "table", "--family", "wheel", "--from", "3", "--to", "10",
+        "table", "--family", "wheel", "--from", "3", "--to", "12",
         "--time-budget", "0.6", "--json",
     )
     assert time.monotonic() - start < 0.9
@@ -508,13 +537,13 @@ def test_no_memo_ignores_the_cache(tmp_path):
     code, out, _ = invoke("solve", "--family", "cycle", "5", "--no-memo", "--cache", str(cache), "--json")
     assert code == 0
     (row,) = json_rows(out)
-    assert (row["differential"], row["nodes"], row["memo_hits"]) == (-5, 21, 0)
+    assert (row["differential"], row["nodes"], row["memo_hits"]) == (-5, 16, 0)
     assert cache.read_bytes() == before
     code, out, _ = invoke(
         "table", "--family", "cycle", "--from", "4", "--to", "5", "--no-memo", "--cache", str(cache), "--json"
     )
     assert code == 0
-    assert [(r["nodes"], r["memo_hits"]) for r in json_rows(out)] == [(13, 0), (21, 0)]
+    assert [(r["nodes"], r["memo_hits"]) for r in json_rows(out)] == [(9, 0), (16, 0)]
     assert cache.read_bytes() == before
 
 

@@ -1,7 +1,10 @@
 """Family generators: shapes, identities between families, validation."""
 
+import itertools
+
 import pytest
 
+from strings_and_coins import families
 from strings_and_coins.canonical import are_isomorphic, canonical_key
 from strings_and_coins.families import (
     FamilySpec,
@@ -189,3 +192,23 @@ def test_generators_are_deterministic():
         ("prism", (4,)),
     ]:
         assert canonical_key(make(name, *params)) == canonical_key(make(name, *params))
+
+
+def test_family_counts_match_the_built_position():
+    # every parameter tuple from each family's minimums up to three above
+    checked = set()
+    for name in family_names():
+        arity, mins, _, _ = families._FAMILIES[name]
+        if arity is None:
+            params_list = [(0, 1, 1, 2), (3, 3, 3, 4, 4, 4, 0, 3)] if name == "custom" else [(0, 1, 1, 2, 1, 3)]
+        else:
+            params_list = list(itertools.product(*[range(lo, lo + 4) for lo in mins]))
+        for params in params_list:
+            try:
+                spec = parse_family(name, params)
+            except ParameterError:  # loopy_cycle with k > n
+                continue
+            g = generate(spec)
+            assert families.counts(spec) == (g.edge_count, g.vertex_count), spec.label()
+            checked.add(name)
+    assert checked == set(family_names())

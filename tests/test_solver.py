@@ -110,7 +110,7 @@ def test_no_memo_leaves_a_given_table_alone():
     table = TranspositionTable()
     table.seed({canonical_key(make("path", 5)): 5})
     gv = solve(make("cycle", 5), SolveOptions(memo=False, table=table))
-    assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == (-5, 21, 0)
+    assert (gv.differential, gv.stats.nodes, gv.stats.memo_hits) == (-5, 16, 0)
     assert len(table) == 1
 
 
@@ -363,13 +363,13 @@ def test_stats_populated():
 # tries moves, to the moves it tries, or to where it cuts off, shows up
 # here.
 _SEARCH_TRACE = [
-    ("complete", 6, SolveOptions(), (4, 130, 103)),
-    ("prism", 5, SolveOptions(), (6, 325, 274)),
-    ("wheel", 7, SolveOptions(), (-4, 267, 192)),
-    ("balloon_path", 8, SolveOptions(), (0, 723, 674)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 477, 346)),
-    ("friendship", 5, SolveOptions(), (-3, 48, 33)),
-    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 538, 0)),
+    ("complete", 6, SolveOptions(), (4, 87, 83)),
+    ("prism", 5, SolveOptions(), (6, 176, 212)),
+    ("wheel", 7, SolveOptions(), (-4, 137, 140)),
+    ("balloon_path", 8, SolveOptions(), (0, 364, 529)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 245, 254)),
+    ("friendship", 5, SolveOptions(), (-3, 15, 14)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 366, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
 _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
@@ -406,11 +406,77 @@ def test_pruning_expands_no_more_nodes(family, params):
 
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 129, 117),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 378, 375),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 835, 937),
-        ("friendship", 5): (EdgeRef(0, 1), -3, 48, 48),
+        ("complete", 6): (EdgeRef(0, 1), 4, 86, 97),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 184, 279),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 408, 742),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 14, 27),
     }
     for (family, param), want in expect.items():
         ref, gv = best_move(make(family, param))
         assert (ref, gv.differential, gv.stats.nodes, gv.stats.memo_hits) == want
+
+
+def _safe_capture_positions(count: int) -> list[LoopyMultigraph]:
+    """Small random positions, each with a coin that a safe capture takes:
+    in turn a lone loop coin, a lone string, and a pendant coin on a coin
+    that also holds a loop and two parallel strings."""
+    rng = random.Random(2000)
+    out = []
+    for i in range(count):
+        edges = support.random_edges(rng, max_vertices=5, max_edges=6, loop_chance=0.3)
+        v = 1 + max(max(e) for e in edges)
+        if i % 3 == 0:
+            edges.append((v, v))
+        elif i % 3 == 1:
+            edges.append((v, v + 1))
+        else:
+            w = rng.choice(edges)[0]
+            edges += [(v, v + 1), (v + 1, v + 1), (v + 1, w), (v + 1, w)]
+        out.append(LoopyMultigraph.from_edges(edges))
+    return out
+
+
+def test_safe_captures_keep_the_blind_value():
+    """Positions where the rule fires solve to the blind oracle's value,
+    with and without the table."""
+    for g in _safe_capture_positions(60):
+        assert _Searcher._safe_capture(g) is not None, g.signature()
+        expect = support.brute_value(g)
+        gv = solve(g)
+        assert gv.differential == expect, g.signature()
+        assert gv.stats.forced_captures > 0
+        assert solve(g, SolveOptions(memo=False)).differential == expect, g.signature()
+
+
+def test_capture_next_to_a_coin_with_two_strings_is_not_safe():
+    # coin 3 hangs on coin 4, which holds its string and a loop: taking
+    # coin 3 first loses by one, while the position wins by one
+    g = LoopyMultigraph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (4, 4)])
+    assert _Searcher._safe_capture(g) is None
+    captured, succ = g._child(3, 4)
+    assert captured + solve(succ).differential == -1
+    for opts in (SolveOptions(), SolveOptions(pruning=False)):
+        gv = solve(g, opts)
+        assert (gv.differential, gv.winner, gv.p1_score, gv.p2_score) == (1, "P1", 3, 2)
+
+
+def test_no_keyed_position_holds_a_safe_capture(monkeypatch):
+    keyed = []
+    key_graph = canonical._key_graph
+
+    def spy(g, deadline, cache):
+        keyed.append(g)
+        return key_graph(g, deadline, cache)
+
+    monkeypatch.setattr(canonical, "_key_graph", spy)
+    solve(make("balloon_path", 8))
+    assert keyed and not any(_Searcher._safe_capture(g) for g in keyed)
+    keyed.clear()
+    solve(make("balloon_path", 8), SolveOptions(pruning=False))
+    assert any(_Searcher._safe_capture(g) for g in keyed)
+
+
+def test_forced_captures_are_counted_only_with_pruning():
+    g = make("balloon_path", 8)
+    assert solve(g).stats.forced_captures > 0
+    assert solve(g, SolveOptions(pruning=False)).stats.forced_captures == 0
