@@ -221,6 +221,12 @@ def parse_family(name: str, params: list[int] | tuple[int, ...]) -> FamilySpec:
     return FamilySpec(name, params)
 
 
+def is_edge_list(spec: FamilySpec) -> bool:
+    """Whether ``spec``'s parameters are vertex ids (``tree``, ``custom``)
+    rather than sizes."""
+    return _FAMILIES[spec.family][0] is None
+
+
 def counts(spec: FamilySpec) -> tuple[int, int]:
     """The (strings, coins) of ``generate(spec)``, without building it."""
     arity, _, _, count = _FAMILIES[spec.family]

@@ -14,31 +14,33 @@ of the file, or a tail too short to hold one, ends the load with one
 more skip, so a crash mid-write never poisons earlier results.
 
 ``PATH.idx`` is derived from the cache so that a load need not screen
-all of it; ``SNC1`` bytes and their meaning do not depend on it, it is
-safe to delete, and ``snc cache --compact`` rebuilds it.  It records how
-many leading cache bytes it covers and their ``zlib.crc32``, what the
-screen counted in them, the ``zlib.crc32`` of the last 4 KiB or fewer of
-the covered bytes, and the offset of each kept key's last record, sorted
-by key bytes.  A load trusts it only when that CRC matches the
-cache's bytes (and the index's own CRC matches the index); it then
-screens only the records after the covered bytes, and a lookup tries
-those first, then binary-searches the offsets.  Without a matching
-index it screens the whole file.  Either way it keeps, skips and counts
-exactly what a screen of the whole file does.  An append decides from
-the index's header, the file's size and one read of the last covered
-4 KiB whether to rewrite the index: when the index is missing, covers
-more bytes than the file held, no longer matches those 4 KiB, or the
-records after it outgrow a quarter of what it covers.  Only then does it
-read the whole file, and it rewrites the index unless the index matches
-and stops at a bad length field.  A compaction writes the index
-for the file it produces; a save that is not an append removes it.
+it; ``SNC1`` bytes and their meaning do not depend on it, it is safe to
+delete, and ``snc cache --compact`` rebuilds it.  It records how many
+leading cache bytes it covers and their ``zlib.crc32``, what the screen
+counted in them, and the offset of each kept key's last record, sorted
+by key bytes.  One rule keeps it: every append leaves it covering the
+whole file.  A load reads through it only when it covers the whole file
+and that CRC matches the cache's bytes (and the index's own CRC matches
+the index); a lookup then binary-searches the offsets and no record is
+screened.  Otherwise the load screens the whole file.  Either way it
+keeps, skips and counts exactly what a screen of the whole file does.
+An append reads the cache and its index as a load does, so it screens
+nothing after an earlier append, and the whole file when the index is
+missing, stale or short of the file's end.  When that screen stops at a
+bad length field, or at a tail too short to hold one, the append cuts
+the file there before it writes: no load reads past such a field, so
+nothing readable is lost, and the appended records stay readable.  It
+then adds their offsets to the index's and writes the index.  A
+compaction writes the index for the file it produces; a save that is
+not an append removes it.
 
 Every access locks ``PATH.lock``, an empty file beside the cache that
 nothing writes or renames, before it opens the cache: a load takes a
 shared ``flock``, an append or a compaction an exclusive one.  An append
 encodes its whole batch first and writes it with a single ``write``; a
 compaction holds its lock from its read to its rename.  Both write the
-index through a temp file and a rename under that lock.  Concurrent
+index in place under that lock: every load holds the shared lock, and
+the index's own CRC rejects a write that was cut short.  Concurrent
 ``snc`` runs, compactions included, may therefore share one cache file:
 no record is split by another writer's, no load sees half an append or
 a file created but not yet written, and no append is lost to a
@@ -59,6 +61,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 
 try:
     import fcntl
@@ -75,13 +78,10 @@ _I16 = struct.Struct("<h")
 
 # PATH.idx: this header, then a u64 record offset per key, then a crc32
 # of both; the header is the index's magic, the cache bytes it covers,
-# their crc32, the records, skipped records and keys among them, whether
-# a bad length field ends them, and the crc32 of the last _WINDOW of them
-_INDEX = struct.Struct("<4sQIQQQ?I")
-_INDEX_MAGIC = b"SNCX"
+# their crc32, and the records, skipped records and keys among them
+_INDEX = struct.Struct("<4sQIQQQ")
+_INDEX_MAGIC = b"SNX2"
 _INDEX_SUFFIX = ".idx"
-_REINDEX_SHARE = 4  # an append re-indexes past covered / 4 unindexed bytes
-_WINDOW = 4096  # covered bytes that an append checks against the index
 _UNSEEN = object()
 
 
@@ -135,36 +135,22 @@ class CacheLoad:
 
 class _Records(Mapping):
     """Key -> value of the records a cache keeps, read from its bytes on
-    demand.  The records after the index answer first (``tail`` maps
-    their keys to record offsets); any other key is found by binary
-    search over the index's record offsets, sorted by key bytes.  Every
-    answer is memoised, and so is the length, on its first use: counting
-    the tail keys that the index lacks takes a search per tail key, which
-    no lookup needs."""
+    demand by binary search over the offsets of the kept keys' records,
+    sorted by key bytes.  Every answer is memoised on its first use."""
 
-    def __init__(self, blob: bytes, offsets: array, tail: dict[bytes, int]):
+    def __init__(self, blob: bytes, offsets: array):
         self._blob = blob
         self._offsets = offsets
-        self._tail = tail
+        self._key = partial(_key_at, blob)
         self._memo: dict[bytes, int | None] = {}
-        self._len: int | None = None if offsets else len(tail)
-
-    def _key_at(self, off: int) -> bytes:
-        start = off + 4
-        return self._blob[start : start + _U32.unpack_from(self._blob, off)[0]]
-
-    def _indexed(self, key: bytes) -> int | None:
-        offsets = self._offsets
-        i = bisect_left(offsets, key, key=self._key_at)
-        return offsets[i] if i < len(offsets) and self._key_at(offsets[i]) == key else None
 
     def get(self, key, default=None):
         value = self._memo.get(key, _UNSEEN)
         if value is _UNSEEN:
-            off = self._tail.get(key)
-            if off is None:
-                off = self._indexed(key)
-            value = None if off is None else _I16.unpack_from(self._blob, off + 4 + len(key))[0]
+            offsets = self._offsets
+            i = bisect_left(offsets, key, key=self._key)
+            found = i < len(offsets) and self._key(offsets[i]) == key
+            value = _I16.unpack_from(self._blob, offsets[i] + 4 + len(key))[0] if found else None
             self._memo[key] = value
         return default if value is None else value
 
@@ -178,16 +164,16 @@ class _Records(Mapping):
         return self.get(key) is not None
 
     def __iter__(self) -> Iterator[bytes]:
-        for off in self._offsets:
-            key = self._key_at(off)
-            if key not in self._tail:
-                yield key
-        yield from self._tail
+        return map(self._key, self._offsets)
 
     def __len__(self) -> int:
-        if self._len is None:
-            self._len = len(self._offsets) + sum(self._indexed(k) is None for k in self._tail)
-        return self._len
+        return len(self._offsets)
+
+
+def _key_at(blob: bytes, off: int) -> bytes:
+    """The key of the record at ``off``."""
+    start = off + 4
+    return blob[start : start + _U32.unpack_from(blob, off)[0]]
 
 
 @contextmanager
@@ -219,37 +205,27 @@ def load_cache(path: str) -> CacheLoad:
         with open(path, "rb") as fh:
             blob = fh.read()
         index = _read_index(path)
-    return _load(blob, index, path)
+    offsets, skipped, records, stop = _screen(blob, index, path)
+    # a bad length field, or a fragment too short for one, ends the file
+    return CacheLoad(_Records(blob, offsets), skipped + (stop < len(blob)), records + (stop + 4 <= len(blob)))
 
 
-def _load(blob: bytes, index: bytes | None, path: str) -> CacheLoad:
-    """Screen ``blob`` from where ``index`` stops covering it, or from the
-    start when the index is missing or does not match it."""
-    offsets = array("Q")
+def _screen(blob: bytes, index: bytes | None, path: str) -> tuple[array, int, int, int]:
+    """Screen a cache's bytes: the offsets of the last records of the kept
+    keys, sorted by key bytes, then skipped, records and stop as ``_scan``
+    counts them.  They are read from ``index`` when it covers the whole
+    of ``blob``, else found by a screen of the whole."""
+    if blob[: len(MAGIC)] != MAGIC:
+        raise CacheFormatError(f"{path}: not a value-cache file")
     head = _index_head(index, blob)
-    if head is None:
-        covered, skipped, records = len(MAGIC), 0, 0
-    else:
-        covered, skipped, records, _ = head
+    if head is not None and head[0] == len(blob):
+        offsets = array("Q")
         offsets.frombytes(memoryview(index)[_INDEX.size : -4])
         if sys.byteorder == "big":
             offsets.byteswap()
-    tail, tail_skipped, tail_records = _screen(blob, path, covered)
-    return CacheLoad(_Records(blob, offsets, tail), skipped + tail_skipped, records + tail_records)
-
-
-def _screen(blob: bytes, path: str, start: int = len(MAGIC)) -> tuple[dict[bytes, int], int, int]:
-    """Screen a cache's records from ``start``: (offset of the last record
-    of each kept key, skipped, records), a bad length field or a fragment
-    too short for one that ends the file counted as in the module
-    docstring."""
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CacheFormatError(f"{path}: not a value-cache file")
-    found, skipped, records, stop = _scan(blob, start)
-    if stop < len(blob):
-        skipped += 1
-        records += stop + 4 <= len(blob)
-    return found, skipped, records
+        return offsets, head[1], head[2], len(blob)
+    found, skipped, records, stop = _scan(blob, len(MAGIC))
+    return array("Q", [found[k] for k in sorted(found)]), skipped, records, stop
 
 
 def _scan(blob: bytes, off: int) -> tuple[dict[bytes, int], int, int, int]:
@@ -296,39 +272,12 @@ def _read_index(path: str) -> bytes | None:
         return None
 
 
-def _indexed_extent(path: str) -> tuple[int, int] | None:
-    """The cache bytes that ``PATH.idx`` claims to cover and the CRC of
-    their last ``_WINDOW``, read from its header alone, or None when it is
-    missing or not the size its header implies.  Nothing here checks the
-    index's own CRC: ``_index_head`` does."""
-    try:
-        with open(path + _INDEX_SUFFIX, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(_INDEX.size)
-    except OSError:
-        return None
-    if len(head) < _INDEX.size:
-        return None
-    magic, covered, _, _, _, keys, _, window_crc = _INDEX.unpack(head)
-    if magic != _INDEX_MAGIC or size != _INDEX.size + 8 * keys + 4:
-        return None
-    return covered, window_crc
-
-
-def _window_crc(fh, covered: int) -> int:
-    """The CRC of the last ``_WINDOW`` or fewer of the first ``covered``
-    bytes of the file open as ``fh``."""
-    start = max(0, covered - _WINDOW)
-    fh.seek(start)
-    return zlib.crc32(fh.read(covered - start))
-
-
-def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] | None:
-    """(covered, skipped, records, stopped) from an index that is
-    whole and describes the first ``covered`` bytes of ``blob``, else None."""
+def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int] | None:
+    """(covered, skipped, records) from an index that is whole and
+    describes the first ``covered`` bytes of ``blob``, else None."""
     if index is None or len(index) < _INDEX.size + 4:
         return None
-    magic, covered, crc, records, skipped, keys, stopped, _ = _INDEX.unpack_from(index)
+    magic, covered, crc, records, skipped, keys = _INDEX.unpack_from(index)
     whole = memoryview(index)[:-4]
     if (
         magic != _INDEX_MAGIC
@@ -338,33 +287,20 @@ def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, bool] 
         or zlib.crc32(memoryview(blob)[:covered]) != crc
     ):
         return None
-    return covered, skipped, records, stopped
-
-
-def _reindex(path: str, blob: bytes) -> None:
-    """Index ``blob``, the whole cache at ``path``, under the caller's
-    exclusive lock."""
-    found, skipped, records, covered = _scan(blob, len(MAGIC))
-    _write_index(path, blob, covered, skipped, records, array("Q", [found[k] for k in sorted(found)]))
+    return covered, skipped, records
 
 
 def _write_index(path: str, blob: bytes, covered: int, skipped: int, records: int, offsets: array) -> None:
-    """Write ``PATH.idx`` for the first ``covered`` bytes of ``blob``, whose
-    kept keys' records start at ``offsets`` in key order.  An index that
-    cannot be written is left out: loads then screen the whole file."""
-    view = memoryview(blob)
-    crc, window = zlib.crc32(view[:covered]), zlib.crc32(view[max(0, covered - _WINDOW) : covered])
-    head = _INDEX.pack(_INDEX_MAGIC, covered, crc, records, skipped, len(offsets), covered < len(blob), window)
+    """Write ``PATH.idx`` in place for the first ``covered`` bytes of
+    ``blob``, whose kept keys' records start at ``offsets`` in key order.
+    An index that cannot be written is left out or cut short, and loads
+    then screen the whole file."""
+    head = _INDEX.pack(_INDEX_MAGIC, covered, zlib.crc32(memoryview(blob)[:covered]), records, skipped, len(offsets))
     if sys.byteorder == "big":
         offsets.byteswap()
     body = head + offsets.tobytes()
-    tmp = path + _INDEX_SUFFIX + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(body + _U32.pack(zlib.crc32(body)))
-        os.replace(tmp, path + _INDEX_SUFFIX)
-    except OSError:
-        _remove(tmp)
+    with suppress(OSError), open(path + _INDEX_SUFFIX, "wb") as fh:
+        fh.write(body + _U32.pack(zlib.crc32(body)))
 
 
 def _remove(name: str) -> None:
@@ -395,12 +331,10 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
     ``PATH.lock`` exclusively before it opens the cache and closes the
     cache before it unlocks, so concurrent appenders never split each
     other's records and a load never sees the file empty.  Under the same
-    lock it rebuilds ``PATH.idx`` when the index's header is missing or
-    covers more bytes than the file held, when the records past it
-    outgrow a quarter of the bytes it covers, or when the last 4 KiB it
-    covers no longer match its header; it reads those 4 KiB, and the
-    whole file only for a rebuild.  A save without ``append`` removes the
-    index.
+    lock it reads the cache and ``PATH.idx`` as a load does, cuts the file
+    at a bad length field or short fragment that ends its screen, and
+    leaves ``PATH.idx`` covering the whole file.  A save without
+    ``append`` removes the index.
     """
     buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
     if not append:
@@ -409,31 +343,45 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], a
         _remove(path + _INDEX_SUFFIX)
         return len(starts)
     with _locked(path, exclusive=True), open(path, "a+b") as fh:
-        # under the lock, an empty file is new: it gets the magic first
-        if fh.seek(0, os.SEEK_END) == 0:
-            buf[:0] = MAGIC
+        fh.seek(0)
+        blob = fh.read()
+        if not blob:  # under the lock, an empty file is new: it gets the magic first
+            fh.write(MAGIC)
+            blob = MAGIC
+        elif blob[: len(MAGIC)] != MAGIC:  # not a value cache: nothing to index
+            fh.write(buf)
+            return len(starts)
+        offsets, skipped, records, stop = _screen(blob, _read_index(path), path)
+        if stop < len(blob):  # no load reads past this field
+            fh.truncate(stop)
         fh.write(buf)
-        # the whole file is read only when the index's header and its last
-        # covered 4 KiB do not rule a re-index out; an index gone stale
-        # before those 4 KiB waits for the tail to outgrow it, and loads
-        # meanwhile find its CRC wrong and screen the whole file
-        size = fh.tell()
-        extent = _indexed_extent(path)
-        if (
-            extent is None
-            or extent[0] > size - len(buf)
-            or size - extent[0] > extent[0] // _REINDEX_SHARE
-            or _window_crc(fh, extent[0]) != extent[1]
-        ):
-            fh.seek(0)
-            blob = fh.read()
-            if blob[: len(MAGIC)] == MAGIC:
-                head = _index_head(_read_index(path), blob)
-                # a screen that stopped at a bad length field would stop
-                # there again, so such an index is left as it is
-                if head is None or not head[3]:
-                    _reindex(path, blob)
+        blob = blob[:stop] + buf
+        found, new_skipped, new_records, end = _scan(blob, stop)
+        offsets = _merge(offsets, found, blob)
+        _write_index(path, blob, end, skipped + new_skipped, records + new_records, offsets)
     return len(starts)
+
+
+def _merge(offsets: array, found: dict[bytes, int], blob: bytes) -> array:
+    """``offsets``, record offsets into ``blob`` sorted by key, with the
+    later records ``found`` put in: a key already there takes its new
+    offset.  New keys go in between slices, so a large batch copies the
+    offsets once rather than once per key."""
+    key = partial(_key_at, blob)
+    added = []
+    for k, off in found.items():
+        i = bisect_left(offsets, k, key=key)
+        if i < len(offsets) and key(offsets[i]) == k:
+            offsets[i] = off
+        else:
+            added.append((i, k, off))
+    merged, done = array("Q"), 0
+    for i, _, off in sorted(added):
+        merged += offsets[done:i]
+        merged.append(off)
+        done = i
+    merged += offsets[done:]
+    return merged
 
 
 def compact_cache(path: str) -> tuple[int, int]:
@@ -450,9 +398,9 @@ def compact_cache(path: str) -> tuple[int, int]:
     os.stat(path)
     with _locked(path, exclusive=True), open(path, "rb") as fh:
         old = fh.read()
-        found, _, records = _screen(old, path)
-        keys = sorted(found)
-        buf, starts = _encode((k, _I16.unpack_from(old, found[k] + 4 + len(k))[0]) for k in keys)
+        offsets, _, records, stop = _screen(old, _read_index(path), path)
+        keys = [_key_at(old, off) for off in offsets]
+        buf, starts = _encode((k, _I16.unpack_from(old, off + 4 + len(k))[0]) for k, off in zip(keys, offsets))
         blob = MAGIC + buf
         tmp = path + ".tmp"
         with open(tmp, "wb") as out:
@@ -460,5 +408,5 @@ def compact_cache(path: str) -> tuple[int, int]:
         os.replace(tmp, path)
         # every record is kept and its key is unique, so each is indexed
         offsets = array("Q", [len(MAGIC) + start for start in starts])
-        _write_index(path, blob, len(blob), 0, len(keys), offsets)
-    return records, len(keys)
+        _write_index(path, blob, len(blob), 0, len(starts), offsets)
+    return records + (stop + 4 <= len(old)), len(starts)

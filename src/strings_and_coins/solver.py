@@ -130,9 +130,19 @@ def check_depth(g: LoopyMultigraph) -> None:
 
 def check_family_depth(spec: FamilySpec) -> None:
     """``check_depth`` of ``generate(spec)``, read off the family's counts,
-    so a row too deep to search is refused before any string is built."""
-    from .families import counts
+    so a row too deep to search is refused before any string is built.
+    A sized family has at least p - 1 strings for each parameter p, so a
+    parameter above the square of the recursion limit is refused before
+    its counts are computed: hypercube's grow as 2^p, and 1 << p alone
+    can exhaust memory.  A smaller parameter gets the counted message."""
+    from .families import counts, is_edge_list
 
+    limit = sys.getrecursionlimit()
+    if not is_edge_list(spec) and max(spec.params, default=0) > limit * limit:
+        raise DepthLimitError(
+            f"{spec.family} parameter above {limit * limit}: the position has at least that many strings, "
+            f"too many to search under the recursion limit of {limit}"
+        )
     _check_depth_counts(*counts(spec))
 
 
@@ -143,9 +153,18 @@ def _check_depth_counts(strings: int, coins: int) -> None:
     limit = sys.getrecursionlimit()
     if need > limit:
         raise DepthLimitError(
-            f"position has {strings} strings on {coins} coins; "
-            f"searching it needs a recursion limit of about {need}, the limit is {limit}"
+            f"position has {_digits(strings)} strings on {_digits(coins)} coins; "
+            f"searching it needs a recursion limit of about {_digits(need)}, the limit is {limit}"
         )
+
+
+def _digits(n: int) -> str:
+    """``n`` in decimal, or as at least a power of two when it has more
+    digits than ``str`` converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1} or more"
 
 
 class TranspositionTable:

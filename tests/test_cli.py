@@ -141,6 +141,33 @@ def test_family_too_deep_is_refused_before_it_is_built(monkeypatch, command):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--family", "hypercube", "100000"),
+        ("table", "--family", "hypercube", "--from", "99999", "--to", "100000"),
+        ("solve", "--family", "complete", "7" * 2200),
+        ("solve", "--family", "hypercube", "10000000000"),
+    ],
+    ids=["hypercube-1e5", "table-hypercube-1e5", "complete-2200-digits", "hypercube-1e10"],
+)
+def test_absurd_family_parameters_exit_2(monkeypatch, argv):
+    # their counts run past the digits str() converts; Q_d's coin count
+    # 1 << d for d = 10^10 would take 1.25 GB, so those are refused first
+    _refuse_to_build(monkeypatch, "hypercube")
+    _refuse_to_build(monkeypatch, "complete")
+    if len(argv[-1]) > 6:
+
+        def no_counts(spec):
+            raise AssertionError(f"counts of {spec.family} were computed")
+
+        monkeypatch.setattr(families, "counts", no_counts)
+    code, out, err = invoke(*argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "data",
     [b"0 1\n\xff 2\n", b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"],
     ids=["bad-byte-in-line-2", "png-header"],

@@ -9,12 +9,11 @@ exactly what they keep and skip, on real keys and on damaged files, and
 so must a load through the ``PATH.idx`` index: on damage appended after
 the indexed bytes, on a damaged index, and on an index left stale by
 an overwrite, a truncation, a flipped byte or a new cache grown in the
-old one's place.  An append reads only the last 4 KiB that the index
-covers unless a re-index is due, and that read catches a stale index
-whose damage lies in those bytes.
+old one's place.  Every append, whatever index and tail it finds, leaves
+an index that covers the whole file, and a torn record before it hides
+none of the records it appends.
 """
 
-import itertools
 import os
 import random
 import struct
@@ -303,7 +302,8 @@ def _indexed_cache(path: str) -> bytes:
     save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[: len(KEYS) // 2]])
     compact_cache(path)
     save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[len(KEYS) // 2 :]], append=True)
-    save_cache(path, _batch(rng), append=True)
+    with open(path, "ab") as fh:  # records no append has indexed
+        fh.write(b"".join(_record(len(k), k, v) for k, v in _batch(rng)))
     assert _index_covers(path) is not None
     assert _index_covers(path) < os.path.getsize(path)
     with open(path, "rb") as fh:
@@ -394,80 +394,99 @@ def test_new_cache_beside_an_old_index(tmp_path, same_bytes):
     assert os.path.getsize(path) > len(blob)
 
 
-def _appends_until_reindexed(path: str, monkeypatch) -> int:
-    """Append batches until one re-indexes the cache, checking that every
-    append before it leaves the index alone and reads no cache byte
-    through ``_index_head``; the number of those appends."""
-    rng = random.Random(11)
-    reads = []
-    head = io_cache._index_head
-    monkeypatch.setattr(io_cache, "_index_head", lambda index, blob: reads.append(len(blob)) or head(index, blob))
-    with open(path + ".idx", "rb") as fh:
-        covered = io_cache._INDEX.unpack_from(fh.read())[1]
-    quiet = 0
-    while True:
-        with open(path + ".idx", "rb") as fh:
-            index = fh.read()
-        save_cache(path, _batch(rng), append=True)
-        size = os.path.getsize(path)
-        if size - covered > covered // io_cache._REINDEX_SHARE:
-            assert reads
-            assert _index_covers(path) == size
-            return quiet
-        assert reads == []
-        with open(path + ".idx", "rb") as fh:
-            assert fh.read() == index
-        quiet += 1
-
-
-def test_append_reads_the_cache_only_when_a_reindex_is_due(tmp_path, monkeypatch):
-    path = str(tmp_path / "values.snc")
-    _indexed_cache(path)
-    compact_cache(path)
-    assert _appends_until_reindexed(path, monkeypatch) > 0
-    monkeypatch.undo()
-    assert_loads_like_reference(path)
-
-
-def test_append_reindexes_a_stale_index_that_covers_no_more_than_the_file(tmp_path):
-    # a flipped byte among the last covered 4 KiB leaves the index's header
-    # as it was, but the append's check of those bytes catches it
-    path = str(tmp_path / "values.snc")
-    _indexed_cache(path)
-    compact_cache(path)
-    assert os.path.getsize(path) <= io_cache._WINDOW
-    with open(path, "r+b") as fh:  # the low byte of the last value
-        fh.seek(-2, os.SEEK_END)
-        low = fh.read(1)[0]
-        fh.seek(-2, os.SEEK_END)
-        fh.write(bytes([low ^ 1]))
-    assert _index_covers(path) is None
-    save_cache(path, _batch(random.Random(12)), append=True)
+def _append_and_check(path: str, rng: random.Random) -> None:
+    """Append a batch; the index then covers the whole file and the load
+    equals the reference's full screen."""
+    save_cache(path, _batch(rng), append=True)
     assert _index_covers(path) == os.path.getsize(path)
     assert_loads_like_reference(path)
 
 
-def test_stale_index_flipped_before_the_checked_bytes_waits_for_its_reindex(tmp_path, monkeypatch):
-    # a flip before the last covered 4 KiB passes the append's check, so
-    # appends keep the index until their records outgrow it; loads find its
-    # CRC wrong and screen the whole file
+def _no_index(path: str) -> None:
+    os.remove(path + ".idx")
+
+
+def _damaged_index(path: str) -> None:
+    with open(path + ".idx", "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last ^ 1]))
+
+
+def _raw_records(path: str) -> None:
+    with open(path, "ab") as fh:
+        fh.write(b"".join(real_record(random.Random(13)) for _ in range(4)))
+
+
+def _torn_tail(path: str) -> None:
+    with open(path, "ab") as fh:  # a length field of 8 over three key bytes
+        fh.write(struct.pack("<I", 8) + KEYS[-1][:3])
+
+
+@pytest.mark.parametrize("damage", [_no_index, _damaged_index, _raw_records, _torn_tail])
+def test_every_append_leaves_the_index_covering_the_file(tmp_path, damage):
     path = str(tmp_path / "values.snc")
-    pairs = itertools.combinations_with_replacement(range(200), 2)
-    # 8-byte keys of the canonical layout: 200 coins, one string between a and b
-    save_cache(path, [(struct.pack("<4H", 200, a, b, 1), 0) for a, b in itertools.islice(pairs, 600)])
-    compact_cache(path)
-    covered = _index_covers(path)
-    assert covered > io_cache._WINDOW + 16
-    with open(path, "r+b") as fh:  # the low byte of the first value
-        fh.seek(len(MAGIC) + 4 + 8)
-        fh.write(b"\x01")
-    assert _index_covers(path) is None
-    save_cache(path, _batch(random.Random(12)), append=True)
-    with open(path + ".idx", "rb") as fh:
-        assert io_cache._INDEX.unpack_from(fh.read())[1] == covered
-    assert _index_covers(path) is None
+    _indexed_cache(path)
+    rng = random.Random(12)
+    _append_and_check(path, rng)
+    damage(path)
+    assert _index_covers(path) != os.path.getsize(path)
     assert_loads_like_reference(path)
-    assert _appends_until_reindexed(path, monkeypatch) > 0
+    for _ in range(3):
+        _append_and_check(path, rng)
+
+
+def test_append_reindexes_a_stale_index_flipped_anywhere(tmp_path):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    compact_cache(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path + ".idx", "rb") as fh:
+        index = fh.read()
+    rng = random.Random(14)
+    for pos in range(len(MAGIC), len(blob)):
+        damaged = bytearray(blob)
+        damaged[pos] ^= 1 << pos % 8
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        with open(path + ".idx", "wb") as fh:
+            fh.write(index)
+        assert _index_covers(path) is None
+        _append_and_check(path, rng)
+
+
+def test_append_after_a_torn_record_keeps_every_later_record(tmp_path):
+    # 198 records, a torn record (length field 8, three key bytes), then six
+    # appends of 50 new keys; keys of the canonical layout: n coins, one string 0-1
+    path = str(tmp_path / "values.snc")
+    keys = [struct.pack("<4H", n, 0, 1, 1) for n in range(2, 500)]
+    save_cache(path, [(k, k[0] % 2) for k in keys[:198]])
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<I", 8) + keys[198][:3])
+    torn = load_cache(path)
+    assert (len(torn.entries), torn.skipped, torn.records) == (198, 1, 199)
+    for i in range(6):
+        save_cache(path, [(k, k[0] % 2) for k in keys[198 + 50 * i : 248 + 50 * i]], append=True)
+    loaded = load_cache(path)
+    assert (len(loaded.entries), loaded.skipped, loaded.records) == (498, 0, 498)
+    assert dict(loaded.entries) == {k: k[0] % 2 for k in keys}
+    assert compact_cache(path) == (498, 498)
+    assert dict(load_cache(path).entries) == {k: k[0] % 2 for k in keys}
+
+
+def test_indexed_load_and_append_screen_only_new_records(tmp_path, monkeypatch):
+    path = str(tmp_path / "values.snc")
+    _indexed_cache(path)
+    save_cache(path, _batch(random.Random(15)), append=True)
+    scans = []
+    scan = io_cache._scan
+    monkeypatch.setattr(io_cache, "_scan", lambda blob, off: scans.append((len(blob), off)) or scan(blob, off))
+    load_cache(path)
+    assert scans == []  # the index covers the whole file: no record is screened
+    size = os.path.getsize(path)
+    save_cache(path, _batch(random.Random(16)), append=True)
+    assert scans == [(os.path.getsize(path), size)]  # only the appended batch
     monkeypatch.undo()
-    assert _index_covers(path) == os.path.getsize(path)
     assert_loads_like_reference(path)
