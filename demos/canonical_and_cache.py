@@ -57,18 +57,18 @@ def main():
     print()
 
     print("== Persisting proven values ==")
-    path = os.path.join(tempfile.mkdtemp(), "values.snc")
-    table = TranspositionTable()
-    cold = solve(make("complete", 7), SolveOptions(table=table))
-    n = save_cache(path, dict(table.fresh_exact_items()))
-    print(f"cold solve of complete(7): {cold.stats.nodes} nodes; {n} record(s) saved")
+    with tempfile.TemporaryDirectory() as tmp:  # also holds the save's lock and index files
+        path = os.path.join(tmp, "values.snc")
+        table = TranspositionTable()
+        cold = solve(make("complete", 7), SolveOptions(table=table))
+        n = save_cache(path, dict(table.fresh_exact_items()))
+        print(f"cold solve of complete(7): {cold.stats.nodes} nodes; {n} record(s) saved")
 
-    warm_table = TranspositionTable()
-    warm_table.seed(load_cache(path).entries)
-    warm = solve(make("complete", 7), SolveOptions(table=warm_table))
-    print(f"warm solve from {os.path.basename(path)}: {warm.stats.nodes} nodes,"
-          f" {warm.stats.memo_hits} memo hit(s), same score ({warm.p1_score}-{warm.p2_score})")
-    os.remove(path)
+        warm_table = TranspositionTable()
+        warm_table.seed(load_cache(path).entries)
+        warm = solve(make("complete", 7), SolveOptions(table=warm_table))
+        print(f"warm solve from {os.path.basename(path)}: {warm.stats.nodes} nodes,"
+              f" {warm.stats.memo_hits} memo hit(s), same score ({warm.p1_score}-{warm.p2_score})")
 
 
 if __name__ == "__main__":

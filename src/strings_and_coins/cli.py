@@ -126,7 +126,7 @@ def _flush_cache(path: str | None, table: TranspositionTable | None, err) -> Non
         return
     fresh = table.fresh_exact_items()
     if fresh:
-        io_cache.save_cache(path, fresh, append=True)
+        io_cache.save_cache(path, fresh)
         print(f"cache: appended {len(fresh)} record(s) to {path}", file=err)
 
 

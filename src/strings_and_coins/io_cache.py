@@ -31,20 +31,20 @@ bad length field, or at a tail too short to hold one, the append cuts
 the file there before it writes: no load reads past such a field, so
 nothing readable is lost, and the appended records stay readable.  It
 then adds their offsets to the index's and writes the index.  A
-compaction writes the index for the file it produces; a save that is
-not an append removes it.
+compaction writes the index for the file it produces.
 
 Every access locks ``PATH.lock``, an empty file beside the cache that
 nothing writes or renames, before it opens the cache: a load takes a
-shared ``flock``, an append or a compaction an exclusive one.  An append
-encodes its whole batch first and writes it with a single ``write``; a
-compaction holds its lock from its read to its rename.  Both write the
-index in place under that lock: every load holds the shared lock, and
-the index's own CRC rejects a write that was cut short.  Concurrent
-``snc`` runs, compactions included, may therefore share one cache file:
-no record is split by another writer's, no load sees half an append or
-a file created but not yet written, and no append is lost to a
-compaction.  A cache whose directory neither holds ``PATH.lock`` nor
+shared ``flock``, an append or a compaction an exclusive one.  Every
+save is an append, and nothing else writes the cache but a compaction.
+An append encodes its whole batch first and writes it with a single
+``write``; a compaction holds its lock from its read to its rename.
+Both write the index in place under that lock: every load holds the
+shared lock, and the index's own CRC rejects a write that was cut short.
+Concurrent ``snc`` runs, compactions included, may therefore share one
+cache file: no record is split by another writer's, no load sees half an
+append or a file created but not yet written, and no append is lost to
+a compaction.  A cache whose directory neither holds ``PATH.lock`` nor
 lets it be created cannot be read: the lock raises ``OSError`` naming
 the cache.
 """
@@ -205,16 +205,17 @@ def load_cache(path: str) -> CacheLoad:
         with open(path, "rb") as fh:
             blob = fh.read()
         index = _read_index(path)
-    offsets, skipped, records, stop = _screen(blob, index, path)
+    offsets, skipped, records, stop, _ = _screen(blob, index, path)
     # a bad length field, or a fragment too short for one, ends the file
     return CacheLoad(_Records(blob, offsets), skipped + (stop < len(blob)), records + (stop + 4 <= len(blob)))
 
 
-def _screen(blob: bytes, index: bytes | None, path: str) -> tuple[array, int, int, int]:
+def _screen(blob: bytes, index: bytes | None, path: str) -> tuple[array, int, int, int, int | None]:
     """Screen a cache's bytes: the offsets of the last records of the kept
     keys, sorted by key bytes, then skipped, records and stop as ``_scan``
-    counts them.  They are read from ``index`` when it covers the whole
-    of ``blob``, else found by a screen of the whole."""
+    counts them, and the crc32 of ``blob``.  All are read from ``index``
+    when it covers the whole of ``blob``; otherwise a screen of the whole
+    finds the rest, and the crc32, left uncomputed, is None."""
     if blob[: len(MAGIC)] != MAGIC:
         raise CacheFormatError(f"{path}: not a value-cache file")
     head = _index_head(index, blob)
@@ -223,9 +224,9 @@ def _screen(blob: bytes, index: bytes | None, path: str) -> tuple[array, int, in
         offsets.frombytes(memoryview(index)[_INDEX.size : -4])
         if sys.byteorder == "big":
             offsets.byteswap()
-        return offsets, head[1], head[2], len(blob)
+        return offsets, head[1], head[2], len(blob), head[3]
     found, skipped, records, stop = _scan(blob, len(MAGIC))
-    return array("Q", [found[k] for k in sorted(found)]), skipped, records, stop
+    return array("Q", [found[k] for k in sorted(found)]), skipped, records, stop, None
 
 
 def _scan(blob: bytes, off: int) -> tuple[dict[bytes, int], int, int, int]:
@@ -272,9 +273,10 @@ def _read_index(path: str) -> bytes | None:
         return None
 
 
-def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int] | None:
-    """(covered, skipped, records) from an index that is whole and
-    describes the first ``covered`` bytes of ``blob``, else None."""
+def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int, int] | None:
+    """(covered, skipped, records, crc32 of the covered bytes) from an
+    index that is whole and describes the first ``covered`` bytes of
+    ``blob``, else None."""
     if index is None or len(index) < _INDEX.size + 4:
         return None
     magic, covered, crc, records, skipped, keys = _INDEX.unpack_from(index)
@@ -287,15 +289,15 @@ def _index_head(index: bytes | None, blob: bytes) -> tuple[int, int, int] | None
         or zlib.crc32(memoryview(blob)[:covered]) != crc
     ):
         return None
-    return covered, skipped, records
+    return covered, skipped, records, crc
 
 
-def _write_index(path: str, blob: bytes, covered: int, skipped: int, records: int, offsets: array) -> None:
-    """Write ``PATH.idx`` in place for the first ``covered`` bytes of
-    ``blob``, whose kept keys' records start at ``offsets`` in key order.
-    An index that cannot be written is left out or cut short, and loads
-    then screen the whole file."""
-    head = _INDEX.pack(_INDEX_MAGIC, covered, zlib.crc32(memoryview(blob)[:covered]), records, skipped, len(offsets))
+def _write_index(path: str, covered: int, crc: int, skipped: int, records: int, offsets: array) -> None:
+    """Write ``PATH.idx`` in place for the first ``covered`` cache bytes,
+    whose crc32 is ``crc`` and whose kept keys' records start at
+    ``offsets`` in key order.  An index that cannot be written is left out
+    or cut short, and loads then screen the whole file."""
+    head = _INDEX.pack(_INDEX_MAGIC, covered, crc, records, skipped, len(offsets))
     if sys.byteorder == "big":
         offsets.byteswap()
     body = head + offsets.tobytes()
@@ -303,16 +305,13 @@ def _write_index(path: str, blob: bytes, covered: int, skipped: int, records: in
         fh.write(body + _U32.pack(zlib.crc32(body)))
 
 
-def _remove(name: str) -> None:
-    with suppress(OSError):
-        os.unlink(name)
-
-
 def _encode(items) -> tuple[bytearray, list[int]]:
     """The records of ``items`` as one buffer, and where each starts in it."""
     buf = bytearray()
     starts = []
     for key, value in items:
+        if not key:  # its length field, 0, would end the file for every load
+            raise ValueError("a record's key must not be empty")
         if not -0x8000 <= value <= 0x7FFF:
             raise ValueError(f"value {value} does not fit a record's i16 field (-32768..32767)")
         starts.append(len(buf))
@@ -322,43 +321,40 @@ def _encode(items) -> tuple[bytearray, list[int]]:
     return buf, starts
 
 
-def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]], append: bool = False) -> int:
-    """Write records; with ``append`` add to an existing file.  Returns
-    the number of records written.  Raises ``ValueError``, before writing
-    anything, for a value outside a record's i16 field.
+def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]]) -> int:
+    """Append records to a cache, created if missing.  Returns the number
+    of records written.  Raises ``ValueError``, before writing anything,
+    for an empty key or a value outside a record's i16 field, and
+    ``CacheFormatError``, writing nothing, for a non-empty file that is
+    not a value cache.
 
-    The records go out as one buffer in one ``write``.  An append locks
-    ``PATH.lock`` exclusively before it opens the cache and closes the
-    cache before it unlocks, so concurrent appenders never split each
-    other's records and a load never sees the file empty.  Under the same
-    lock it reads the cache and ``PATH.idx`` as a load does, cuts the file
-    at a bad length field or short fragment that ends its screen, and
-    leaves ``PATH.idx`` covering the whole file.  A save without
-    ``append`` removes the index.
+    The save locks ``PATH.lock`` exclusively before it opens the cache and
+    closes the cache before it unlocks, so concurrent savers never split
+    each other's records and a load never sees the file empty.  Under the
+    same lock it writes the magic to a new or empty file, reads the cache
+    and ``PATH.idx`` as a load does, cuts the file at a bad length field
+    or short fragment that ends its screen, writes the records as one
+    buffer in one ``write``, and leaves ``PATH.idx`` covering the whole
+    file.
     """
     buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
-    if not append:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + buf)
-        _remove(path + _INDEX_SUFFIX)
-        return len(starts)
     with _locked(path, exclusive=True), open(path, "a+b") as fh:
         fh.seek(0)
         blob = fh.read()
         if not blob:  # under the lock, an empty file is new: it gets the magic first
             fh.write(MAGIC)
             blob = MAGIC
-        elif blob[: len(MAGIC)] != MAGIC:  # not a value cache: nothing to index
-            fh.write(buf)
-            return len(starts)
-        offsets, skipped, records, stop = _screen(blob, _read_index(path), path)
+        offsets, skipped, records, stop, crc = _screen(blob, _read_index(path), path)
+        if crc is None:
+            crc = zlib.crc32(memoryview(blob)[:stop])
         if stop < len(blob):  # no load reads past this field
             fh.truncate(stop)
         fh.write(buf)
         blob = blob[:stop] + buf
-        found, new_skipped, new_records, end = _scan(blob, stop)
+        # every key is non-empty, so the screen of the batch reaches its end
+        found, new_skipped, new_records, _ = _scan(blob, stop)
         offsets = _merge(offsets, found, blob)
-        _write_index(path, blob, end, skipped + new_skipped, records + new_records, offsets)
+        _write_index(path, len(blob), zlib.crc32(buf, crc), skipped + new_skipped, records + new_records, offsets)
     return len(starts)
 
 
@@ -398,7 +394,7 @@ def compact_cache(path: str) -> tuple[int, int]:
     os.stat(path)
     with _locked(path, exclusive=True), open(path, "rb") as fh:
         old = fh.read()
-        offsets, _, records, stop = _screen(old, _read_index(path), path)
+        offsets, _, records, stop, _ = _screen(old, _read_index(path), path)
         keys = [_key_at(old, off) for off in offsets]
         buf, starts = _encode((k, _I16.unpack_from(old, off + 4 + len(k))[0]) for k, off in zip(keys, offsets))
         blob = MAGIC + buf
@@ -408,5 +404,5 @@ def compact_cache(path: str) -> tuple[int, int]:
         os.replace(tmp, path)
         # every record is kept and its key is unique, so each is indexed
         offsets = array("Q", [len(MAGIC) + start for start in starts])
-        _write_index(path, blob, len(blob), 0, len(starts), offsets)
+        _write_index(path, len(blob), zlib.crc32(blob), 0, len(starts), offsets)
     return records + (stop + 4 <= len(old)), len(starts)

@@ -98,7 +98,7 @@ def test_cache_append_and_compact(tmp_path):
     k1 = canonical_key(make("cycle", 3))
     k2 = canonical_key(make("cycle", 4))
     save_cache(path, {k1: -3})
-    save_cache(path, {k1: -3, k2: -4}, append=True)
+    save_cache(path, {k1: -3, k2: -4})
     loaded = load_cache(path)
     assert loaded.entries == {k1: -3, k2: -4}
     before, after = compact_cache(path)
@@ -132,7 +132,7 @@ path, go, worker = sys.argv[1], sys.argv[2], int(sys.argv[3])
 batch = [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in range(2 + 1000 * worker, 1002 + 1000 * worker)]
 while not os.path.exists(go):
     time.sleep(0.001)
-save_cache(path, batch, append=True)
+save_cache(path, batch)
 """
 
 
@@ -160,7 +160,7 @@ path = sys.argv[1]
 for i in range(300):
     # ten plausible records with keys of their own: n coins, one string 0-1
     batch = [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in range(2 + 10 * i, 12 + 10 * i)]
-    save_cache(path, batch, append=True)
+    save_cache(path, batch)
 """
 
 
@@ -184,7 +184,7 @@ _FIRST_APPENDER = """
 import struct, sys, time
 from strings_and_coins.io_cache import save_cache
 for path in sys.argv[1:]:
-    save_cache(path, [(struct.pack("<HHHH", 2, 0, 1, 1), 0)], append=True)
+    save_cache(path, [(struct.pack("<HHHH", 2, 0, 1, 1), 0)])
     time.sleep(0.001)
 """
 
@@ -212,7 +212,7 @@ while not os.path.exists(go):
 for i in range(batches):
     # plausible records with keys of their own: n coins, one string 0-1
     keys = range(first + size * i, first + size * (i + 1))
-    save_cache(path, [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in keys], append=True)
+    save_cache(path, [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in keys])
 """
 
 
@@ -270,18 +270,82 @@ def test_cache_corrupt_tail_is_skipped(tmp_path):
     assert loaded.skipped == 1
 
 
-@pytest.mark.parametrize("append", [False, True])
-def test_value_too_wide_for_a_record_is_refused(tmp_path, append):
-    # a key of 2 bytes admits up to 65,535 coins, a record's value only an i16
+@pytest.mark.parametrize("existing", [False, True])
+def test_value_too_wide_for_a_record_is_refused(tmp_path, existing):
+    # a key of 2 bytes admits up to 65,535 coins, a record's value only an i16;
+    # the refusal writes nothing, whether the save would start the file or extend it
+    path = tmp_path / "values.snc"
+    k = canonical_key(make("cycle", 3))
+    if existing:
+        save_cache(str(path), {k: -3})
+    before = sorted(tmp_path.iterdir()), path.read_bytes() if existing else None
+    for value in (40000, -32769):
+        with pytest.raises(ValueError, match=rf"{value}.*-32768\.\.32767"):
+            save_cache(str(path), {k: -3, b"\x00\x00": value})
+        assert (sorted(tmp_path.iterdir()), path.read_bytes() if existing else None) == before
+    assert save_cache(str(path), {b"\x00\x00": 32767}) == 1
+
+
+def test_empty_key_is_refused(tmp_path):
+    # its length field, 0, would read as the end of the file
     path = tmp_path / "values.snc"
     k = canonical_key(make("cycle", 3))
     save_cache(str(path), {k: -3})
     before = path.read_bytes()
-    for value in (40000, -32769):
-        with pytest.raises(ValueError, match=rf"{value}.*-32768\.\.32767"):
-            save_cache(str(path), {k: -3, b"\x00\x00": value}, append=append)
-        assert path.read_bytes() == before
-    assert save_cache(str(path), {b"\x00\x00": 32767}, append=True) == 1
+    with pytest.raises(ValueError, match="empty"):
+        save_cache(str(path), [(b"", 0), (canonical_key(make("cycle", 4)), -4)])
+    assert path.read_bytes() == before
+    assert load_cache(str(path)).entries == {k: -3}
+
+
+def test_save_onto_a_file_that_is_not_a_cache_is_refused(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"hello world\n")
+    with pytest.raises(CacheFormatError):
+        save_cache(str(path), {canonical_key(make("cycle", 3)): -3})
+    assert path.read_bytes() == b"hello world\n"
+
+
+def test_save_onto_a_cache_keeps_its_records_and_indexes_the_file(tmp_path):
+    path = tmp_path / "values.snc"
+    k3, k4, k5 = (canonical_key(make("cycle", n)) for n in (3, 4, 5))
+    save_cache(str(path), {k3: -3, k4: -4})
+    save_cache(str(path), {k4: -4, k5: -5})
+    assert load_cache(str(path)).entries == {k3: -3, k4: -4, k5: -5}
+    blob = path.read_bytes()
+    head = io_cache._index_head((tmp_path / "values.snc.idx").read_bytes(), blob)
+    assert head is not None and head[0] == len(blob)
+
+
+_RESAVER = """
+import os, struct, sys
+from strings_and_coins.io_cache import save_cache
+path, started, stop = sys.argv[1:]
+# plausible records: n coins, one string 0-1
+batch = [(struct.pack("<HHHH", n, 0, 1, 1), n % 2) for n in range(2, 2002)]
+while not os.path.exists(stop):
+    save_cache(path, batch)
+    open(started, "a").close()
+"""
+
+
+def test_loads_beside_a_saver_of_one_batch_read_every_key(tmp_path):
+    path = str(tmp_path / "values.snc")
+    started, stop = str(tmp_path / "started"), str(tmp_path / "stop")
+    batch = {struct.pack("<HHHH", n, 0, 1, 1): n % 2 for n in range(2, 2002)}
+    save_cache(path, batch)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(strings_and_coins.__file__))}
+    writer = subprocess.Popen([sys.executable, "-c", _RESAVER, path, started, stop], env=env)
+    try:
+        while not os.path.exists(started):
+            assert writer.poll() is None
+            time.sleep(0.001)
+        for i in range(100):
+            assert dict(load_cache(path).entries) == batch, i
+    finally:
+        open(stop, "w").close()
+        writer.wait(timeout=60)
+    assert writer.returncode == 0
 
 
 def test_cache_bad_magic(tmp_path):

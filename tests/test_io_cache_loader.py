@@ -283,7 +283,7 @@ def test_indexed_loader_matches_reference(indexed_path, seed, damaged, compact, 
     rng = random.Random(seed)
     save_cache(indexed_path, _batch(rng))
     for _ in range(rng.randint(1, 4)):
-        save_cache(indexed_path, _batch(rng), append=True)
+        save_cache(indexed_path, _batch(rng))
     if compact:
         compact_cache(indexed_path)
     assert _index_covers(indexed_path) is not None
@@ -291,7 +291,7 @@ def test_indexed_loader_matches_reference(indexed_path, seed, damaged, compact, 
         fh.write(damaged[len(MAGIC) :])
     assert_loads_like_reference(indexed_path)
     for _ in range(appends_after):
-        save_cache(indexed_path, _batch(rng), append=True)
+        save_cache(indexed_path, _batch(rng))
         assert_loads_like_reference(indexed_path)
     assert _index_covers(indexed_path) is not None
 
@@ -301,7 +301,7 @@ def _indexed_cache(path: str) -> bytes:
     rng = random.Random(7)
     save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[: len(KEYS) // 2]])
     compact_cache(path)
-    save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[len(KEYS) // 2 :]], append=True)
+    save_cache(path, [(k, 0 if k[0] % 2 == 0 else 1) for k in KEYS[len(KEYS) // 2 :]])
     with open(path, "ab") as fh:  # records no append has indexed
         fh.write(b"".join(_record(len(k), k, v) for k, v in _batch(rng)))
     assert _index_covers(path) is not None
@@ -313,14 +313,10 @@ def _indexed_cache(path: str) -> bytes:
 def test_overwritten_cache_is_not_read_through_its_old_index(tmp_path):
     path = str(tmp_path / "values.snc")
     _indexed_cache(path)
-    with open(path + ".idx", "rb") as fh:
-        old_index = fh.read()
-    save_cache(path, _batch(random.Random(8)))
-    assert not os.path.exists(path + ".idx")
-    assert_loads_like_reference(path)
-    # as if the save had stopped between its write and the index's removal
-    with open(path + ".idx", "wb") as fh:
-        fh.write(old_index)
+    # new bytes written over the cache, its old index left beside them
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + b"".join(_record(len(k), k, v) for k, v in _batch(random.Random(8))))
+    assert _index_covers(path) is None
     assert_loads_like_reference(path)
 
 
@@ -384,12 +380,12 @@ def test_new_cache_beside_an_old_index(tmp_path, same_bytes):
         assert _index_covers(path) is not None  # the same bytes: the old index holds
         return
     rng = random.Random(9)
-    save_cache(path, _batch(rng), append=True)
+    save_cache(path, _batch(rng))
     for _ in range(12):
         with open(path, "ab") as fh:  # appends that leave the index alone
             fh.write(b"".join(real_record(rng) for _ in range(3)))
         assert_loads_like_reference(path)
-        save_cache(path, _batch(rng), append=True)
+        save_cache(path, _batch(rng))
         assert_loads_like_reference(path)
     assert os.path.getsize(path) > len(blob)
 
@@ -397,7 +393,7 @@ def test_new_cache_beside_an_old_index(tmp_path, same_bytes):
 def _append_and_check(path: str, rng: random.Random) -> None:
     """Append a batch; the index then covers the whole file and the load
     equals the reference's full screen."""
-    save_cache(path, _batch(rng), append=True)
+    save_cache(path, _batch(rng))
     assert _index_covers(path) == os.path.getsize(path)
     assert_loads_like_reference(path)
 
@@ -468,7 +464,7 @@ def test_append_after_a_torn_record_keeps_every_later_record(tmp_path):
     torn = load_cache(path)
     assert (len(torn.entries), torn.skipped, torn.records) == (198, 1, 199)
     for i in range(6):
-        save_cache(path, [(k, k[0] % 2) for k in keys[198 + 50 * i : 248 + 50 * i]], append=True)
+        save_cache(path, [(k, k[0] % 2) for k in keys[198 + 50 * i : 248 + 50 * i]])
     loaded = load_cache(path)
     assert (len(loaded.entries), loaded.skipped, loaded.records) == (498, 0, 498)
     assert dict(loaded.entries) == {k: k[0] % 2 for k in keys}
@@ -479,14 +475,14 @@ def test_append_after_a_torn_record_keeps_every_later_record(tmp_path):
 def test_indexed_load_and_append_screen_only_new_records(tmp_path, monkeypatch):
     path = str(tmp_path / "values.snc")
     _indexed_cache(path)
-    save_cache(path, _batch(random.Random(15)), append=True)
+    save_cache(path, _batch(random.Random(15)))
     scans = []
     scan = io_cache._scan
     monkeypatch.setattr(io_cache, "_scan", lambda blob, off: scans.append((len(blob), off)) or scan(blob, off))
     load_cache(path)
     assert scans == []  # the index covers the whole file: no record is screened
     size = os.path.getsize(path)
-    save_cache(path, _batch(random.Random(16)), append=True)
+    save_cache(path, _batch(random.Random(16)))
     assert scans == [(os.path.getsize(path), size)]  # only the appended batch
     monkeypatch.undo()
     assert_loads_like_reference(path)
