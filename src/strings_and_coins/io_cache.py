@@ -35,12 +35,14 @@ compaction writes the index for the file it produces.
 
 Every access locks ``PATH.lock``, an empty file beside the cache that
 nothing writes or renames, before it opens the cache: a load takes a
-shared ``flock``, an append or a compaction an exclusive one.  Every
-save is an append, and nothing else writes the cache but a compaction.
-An append encodes its whole batch first and writes it with a single
-``write``; a compaction holds its lock from its read to its rename.
-Both write the index in place under that lock: every load holds the
-shared lock, and the index's own CRC rejects a write that was cut short.
+shared ``flock``, an append or a compaction an exclusive one.  A file
+whose first bytes are not a prefix of ``SNC1`` is refused before that,
+so it gets no ``PATH.lock``.  Every save is an append, and nothing else
+writes the cache but a compaction.  An append encodes its whole batch
+first and writes it with a single ``write``; a compaction holds its lock
+from its read to its rename.  Both write the index in place under that
+lock: every load holds the shared lock, and the index's own CRC rejects
+a write that was cut short.
 Concurrent ``snc`` runs, compactions included, may therefore share one
 cache file: no record is split by another writer's, no load sees half an
 append or a file created but not yet written, and no append is lost to
@@ -195,12 +197,26 @@ def _locked(path: str, exclusive: bool):
         os.close(fd)
 
 
+def _check_head(path: str) -> None:
+    """Raise ``CacheFormatError`` when the first bytes of ``path`` are not
+    a prefix of ``MAGIC``, and ``FileNotFoundError`` when it is missing.
+    Read without the lock, so a file that is not a value cache gets no
+    ``PATH.lock``: a cache's head only ever goes from empty to ``MAGIC``,
+    since the first append writes it and a compaction renames a whole
+    file, so no writer can make such a file a cache."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC))
+    if head != MAGIC[: len(head)]:
+        raise CacheFormatError(f"{path}: not a value-cache file")
+
+
 def load_cache(path: str) -> CacheLoad:
     """Read a value cache under a shared lock; tolerate and count a corrupt
-    or truncated tail.  A missing cache raises ``FileNotFoundError`` before
-    the lock file is created; otherwise raises ``OSError`` when
-    ``PATH.lock`` neither exists nor can be created."""
-    os.stat(path)
+    or truncated tail.  A missing cache raises ``FileNotFoundError``, and a
+    file that does not start like one ``CacheFormatError``, before the
+    lock file is created; otherwise raises ``OSError`` when ``PATH.lock``
+    neither exists nor can be created."""
+    _check_head(path)
     with _locked(path, exclusive=False):
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -325,8 +341,8 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]]) -
     """Append records to a cache, created if missing.  Returns the number
     of records written.  Raises ``ValueError``, before writing anything,
     for an empty key or a value outside a record's i16 field, and
-    ``CacheFormatError``, writing nothing, for a non-empty file that is
-    not a value cache.
+    ``CacheFormatError``, writing nothing and before the lock file is
+    created, for a non-empty file that is not a value cache.
 
     The save locks ``PATH.lock`` exclusively before it opens the cache and
     closes the cache before it unlocks, so concurrent savers never split
@@ -338,6 +354,8 @@ def save_cache(path: str, entries: dict[bytes, int] | list[tuple[bytes, int]]) -
     file.
     """
     buf, starts = _encode(entries.items() if isinstance(entries, dict) else entries)
+    with suppress(FileNotFoundError):
+        _check_head(path)
     with _locked(path, exclusive=True), open(path, "a+b") as fh:
         fh.seek(0)
         blob = fh.read()
@@ -388,10 +406,10 @@ def compact_cache(path: str) -> tuple[int, int]:
     short to hold a length field is not a record.  The rewrite goes
     through a temp file and an atomic rename, all under an exclusive
     lock on ``PATH.lock``, so no append lands on the old file unseen.  A
-    missing cache raises ``FileNotFoundError`` before the lock file is
-    created.
+    missing cache raises ``FileNotFoundError``, and a file that does not
+    start like one ``CacheFormatError``, before the lock file is created.
     """
-    os.stat(path)
+    _check_head(path)
     with _locked(path, exclusive=True), open(path, "rb") as fh:
         old = fh.read()
         offsets, _, records, stop, _ = _screen(old, _read_index(path), path)

@@ -25,6 +25,8 @@ Search options layer on top of that definition without changing it:
                     A position with a safe capture (below) is not searched
                     at all: the capture is taken at once, and the position
                     is neither keyed, probed, stored nor counted as a node.
+                    At a coin whose neighbour holds two strings, only the
+                    captures and the decline are tried (below).
 
 Any combination yields the same value; only the work differs.
 ``solve`` values one position, ``best_move`` also names an optimal move,
@@ -65,6 +67,23 @@ number of strings, with H = g - e and c the coins e captures:
 On a neighbour with exactly two strings the rule is false: in
 (0,1) (0,2) (1,2) (3,4) loop@4 the mover wins by one, but taking coin 3
 first loses by one.
+
+There the search tries only the captures and the decline, the
+double-dealing move of dots-and-boxes (Berlekamp; Buzzard & Ciere,
+arXiv:1305.2156).  Let coin v hold one string e = (v, u), and u exactly
+two, e and f; cutting e captures v alone.  Let m be a move that captures
+nothing in g and nothing in g - e.  The second condition excludes exactly
+f, the one string g - e leaves at u.  v still hangs by e in g - m, with u
+keeping f, so the opponent may take v first: value(g - m) >= 1 +
+value(g - m - e), and m is worth at most -1 - value(g - e - m).  Taking e
+and then playing m, which captures nothing in g - e, is worth at least
+1 - value(g - e - m).  So every such m is at least 2 below e.  A node
+without a safe capture, at the first such coin in signature order, tries
+its capturing classes and f, f itself even when it is no orbit
+representative (a capturing f's orbit is among the captures).  The best
+of them has the node's value, so exact and bound results stay sound, and
+``best_move``'s root leaves the same classes out: none is optimal.
+``SearchStats.dominated_skips`` counts the classes left out.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
 (and ``strategies.best_response_value``, through ``check_depth``) refuse,
@@ -237,6 +256,8 @@ class SearchStats:
     symmetric_skips: int = 0
     # safe captures taken at once, without keying or expanding the position
     forced_captures: int = 0
+    # edge classes not tried because capturing beats them by 2 or more
+    dominated_skips: int = 0
     elapsed: float = 0.0
 
 
@@ -306,23 +327,55 @@ class _Searcher:
         return sorted(moves, key=rank)
 
     @staticmethod
-    def _safe_capture(g: LoopyMultigraph) -> tuple | None:
-        """The first class (a, b, m) of ``g``, in signature order, whose cut
-        captures a coin v with no loss: v holds this one string, and it is
-        a loop or its other end holds other than two strings.  None when
-        no class qualifies."""
+    def _forced(g: LoopyMultigraph) -> tuple | None:
+        """What the coins on their last string force, from one pass over
+        the signature of ``g``.  (t, None) when t is the first class, in
+        signature order, whose cut captures a coin v with no loss: v holds
+        this one string, and it is a loop or its other end holds other than
+        two strings.  Otherwise (e, f) when e is the first class that cuts
+        such a coin v from a u holding exactly two strings, and f is u's
+        other string: the decline.  None when neither exists."""
         inc = g._incident
+        e = None
         for t in g._sig:
             a, b = t[0], t[1]
             if a == b:
                 if inc[a] == 1:
-                    return t
+                    return t, None
             elif inc[a] == 1:
                 if inc[b] != 2:
-                    return t
-            elif inc[b] == 1 and inc[a] != 2:
-                return t
-        return None
+                    return t, None
+                if e is None:
+                    e, u = t, b
+            elif inc[b] == 1:
+                if inc[a] != 2:
+                    return t, None
+                if e is None:
+                    e, u = t, a
+        if e is None:
+            return None
+        for f in g._sig:
+            if (f[0] == u or f[1] == u) and f is not e:
+                return e, f
+
+    @staticmethod
+    def _safe_capture(g: LoopyMultigraph) -> tuple | None:
+        """The safe capture ``_forced`` finds in ``g``, or None."""
+        found = _Searcher._forced(g)
+        return found[0] if found is not None and found[1] is None else None
+
+    def _undominated(self, g: LoopyMultigraph, moves: tuple, f: tuple) -> list:
+        """The classes of ``moves`` that capture, plus the decline ``f``
+        even when ``moves`` lacks it, in the order of ``moves``, f last
+        when added.  Every class left out is at least 2 below a capture
+        (module docstring), and counts in ``dominated_skips``."""
+        inc = g._incident
+        kept = [t for t in moves if inc[t[0]] == 1 or inc[t[1]] == 1 or t == f]
+        self.stats.dominated_skips += len(moves) - len(kept)
+        # a decline that captures is in the orbit of a capture kept above
+        if inc[f[0]] != 1 and inc[f[1]] != 1 and f not in kept:
+            kept.append(f)
+        return kept
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         """Fail-soft value of ``g`` for the window (alpha, beta): exact
@@ -334,6 +387,10 @@ class _Searcher:
         A class left out has a tried class with the same capture count and
         an isomorphic child, so its true value is that tried class's, and
         the true value of ``g`` is the best over the tried classes alone.
+        With pruning on, at a coin whose neighbour holds two strings
+        (``_forced``) only the capturing classes among them and the
+        decline are tried: a class left out is then worth at least 2 less
+        than a capture, and again the best tried class has the true value.
         A fail-soft search over those classes is then as sound as over all:
         an exact result stays exact; a fail-high result is a lower bound
         from a real child; a fail-low result is the largest of upper bounds
@@ -355,19 +412,22 @@ class _Searcher:
             raise SolveBudgetExceeded(f"time budget {self.opts.time_budget}s exceeded")
         r = g.vertex_count
         pruning = self.opts.pruning
+        decline = None
         if pruning:
             # every remaining vertex goes to someone: |true value| <= r
             if r <= alpha:
                 return r
             if -r >= beta:
                 return -r
-            t = self._safe_capture(g)
-            if t is not None:
-                # value(g) = captured + value(successor): see the module
-                # docstring.  g is neither keyed nor stored
-                self.stats.forced_captures += 1
-                captured, succ = g._child(t[0], t[1])
-                return captured + self.search(succ, alpha - captured, beta - captured)
+            forced = self._forced(g)
+            if forced is not None:
+                t, decline = forced
+                if decline is None:
+                    # value(g) = captured + value(successor): see the module
+                    # docstring.  g is neither keyed nor stored
+                    self.stats.forced_captures += 1
+                    captured, succ = g._child(t[0], t[1])
+                    return captured + self.search(succ, alpha - captured, beta - captured)
             a = alpha if alpha > -r else -r
             b = beta if beta < r else r
         else:
@@ -398,6 +458,8 @@ class _Searcher:
             moves = g.signature()
         self.stats.nodes += 1
         self.stats.symmetric_skips += len(g.signature()) - len(moves)
+        if decline is not None:
+            moves = self._undominated(g, moves, decline)
         a0 = a
         best = -(1 << 30)
         null = False
@@ -481,6 +543,9 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     and then toward the least edge class.  The root tries every class,
     each with the full window, so with the table on a class whose child
     is isomorphic to an earlier sibling's costs one exact table hit.
+    With pruning on, a root where ``search`` would try only the captures
+    and the decline tries only those: a class left out is at least 2
+    below a capture, so it is never optimal and no tie is lost.
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")
@@ -492,7 +557,11 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     best_v = None
     best_ref = None
     best_key = b""
-    for a, b, _ in g.signature():
+    classes = g.signature()
+    forced = searcher._forced(g) if opts.pruning else None
+    if forced is not None and forced[1] is not None:
+        classes = searcher._undominated(g, classes, forced[1])
+    for a, b, _ in classes:
         ref = EdgeRef(a, b)
         captured, succ = g._child(a, b)
         if captured:

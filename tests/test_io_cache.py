@@ -306,6 +306,21 @@ def test_save_onto_a_file_that_is_not_a_cache_is_refused(tmp_path):
     assert path.read_bytes() == b"hello world\n"
 
 
+@pytest.mark.parametrize("access", ["save", "load", "compact"])
+def test_a_file_that_is_not_a_cache_gets_no_lock_file(tmp_path, access):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"hello world\n")
+    call = {
+        "save": lambda p: save_cache(p, {canonical_key(make("cycle", 3)): -3}),
+        "load": load_cache,
+        "compact": compact_cache,
+    }[access]
+    with pytest.raises(CacheFormatError):
+        call(str(path))
+    assert os.listdir(tmp_path) == ["notes.txt"]
+    assert path.read_bytes() == b"hello world\n"
+
+
 def test_save_onto_a_cache_keeps_its_records_and_indexes_the_file(tmp_path):
     path = tmp_path / "values.snc"
     k3, k4, k5 = (canonical_key(make("cycle", n)) for n in (3, 4, 5))

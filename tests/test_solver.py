@@ -363,12 +363,12 @@ def test_stats_populated():
 # tries moves, to the moves it tries, or to where it cuts off, shows up
 # here.
 _SEARCH_TRACE = [
-    ("complete", 6, SolveOptions(), (4, 87, 83)),
-    ("prism", 5, SolveOptions(), (6, 176, 212)),
-    ("wheel", 7, SolveOptions(), (-4, 137, 140)),
-    ("balloon_path", 8, SolveOptions(), (0, 364, 529)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 245, 254)),
-    ("friendship", 5, SolveOptions(), (-3, 15, 14)),
+    ("complete", 6, SolveOptions(), (4, 86, 83)),
+    ("prism", 5, SolveOptions(), (6, 160, 177)),
+    ("wheel", 7, SolveOptions(), (-4, 135, 133)),
+    ("balloon_path", 8, SolveOptions(), (0, 335, 461)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 224, 206)),
+    ("friendship", 5, SolveOptions(), (-3, 10, 9)),
     ("ferris_wheel", 4, SolveOptions(memo=False), (2, 366, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
@@ -406,10 +406,10 @@ def test_pruning_expands_no_more_nodes(family, params):
 
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 86, 97),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 184, 279),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 408, 742),
-        ("friendship", 5): (EdgeRef(0, 1), -3, 14, 27),
+        ("complete", 6): (EdgeRef(0, 1), 4, 85, 97),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 177, 242),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 377, 657),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 9, 22),
     }
     for (family, param), want in expect.items():
         ref, gv = best_move(make(family, param))
@@ -480,3 +480,91 @@ def test_forced_captures_are_counted_only_with_pruning():
     g = make("balloon_path", 8)
     assert solve(g).stats.forced_captures > 0
     assert solve(g, SolveOptions(pruning=False)).stats.forced_captures == 0
+
+
+def _decline_positions(count: int) -> list[LoopyMultigraph]:
+    """Small random positions with no safe capture whose first coin on
+    its last string hangs on a coin u with two strings, e = (v, u).  In
+    turn u's other string f is a loop at u; f ends at a second coin on its
+    last string; f goes into the random part and a second such coin hangs
+    there too; and the coin's component sits beside a separate triangle
+    with a loop."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        edges = support.random_edges(rng, max_vertices=4, max_edges=5, loop_chance=0.3)
+        v = 1 + max(max(e) for e in edges)
+        w = rng.choice(edges)[0]
+        if kind == 0:
+            gadget, f = [(v, v + 1), (v + 1, v + 1)], (v + 1, v + 1, 1)
+        elif kind == 1:
+            gadget, f = [(v, v + 1), (v + 1, v + 2)], (v + 1, v + 2, 1)
+        elif kind == 2:
+            gadget, f = [(v, v + 1), (v + 1, w), (v + 2, v + 3), (v + 3, rng.choice(edges)[1])], (w, v + 1, 1)
+        else:
+            gadget, f = [(v, v + 1), (v + 1, w), (v + 2, v + 3), (v + 3, v + 4), (v + 2, v + 4), (v + 4, v + 4)], (w, v + 1, 1)
+        g = LoopyMultigraph.from_edges(edges + gadget)
+        if _Searcher._forced(g) == ((v, v + 1, 1), f):
+            out.append(g)
+    return out
+
+
+def test_capture_or_decline_keeps_the_blind_value():
+    """Positions where the root searches only its captures and the
+    decline solve to the blind oracle's value, with and without the
+    table, and the root leaves classes out."""
+    for g in _decline_positions(40):
+        expect = support.brute_value(g)
+        gv = solve(g)
+        assert gv.differential == expect, g.signature()
+        assert gv.stats.dominated_skips > 0, g.signature()
+        assert solve(g, SolveOptions(memo=False)).differential == expect, g.signature()
+
+
+def test_classes_the_rule_leaves_out_are_two_below_the_capture():
+    """On small random positions where the rule fires, a plain memoised
+    negamax values every class left out at least 2 below the capture e,
+    and the best kept class at the position's value."""
+    rng = random.Random(177)
+    searcher = _Searcher(SolveOptions(), None)
+    checked = 0
+    while checked < 150:
+        g = support.random_graph(rng, max_vertices=6, max_edges=8)
+        forced = _Searcher._forced(g)
+        if forced is None or forced[1] is None:
+            continue
+        e, f = forced
+
+        def worth(t):
+            captured, succ = g._child(t[0], t[1])
+            return captured + support.brute_value(succ) if captured else -support.brute_value(succ)
+
+        kept = searcher._undominated(g, g.signature(), f)
+        assert e in kept and f in kept
+        for t in g.signature():
+            if t not in kept:
+                assert worth(t) <= worth(e) - 2, (g.signature(), e, t)
+        assert max(map(worth, kept)) == support.brute_value(g), g.signature()
+        checked += 1
+
+
+def test_best_move_skips_only_classes_that_are_never_optimal():
+    """A root where the rule fires names the move and value that trying
+    every class names."""
+    for g in _decline_positions(24):
+        want, plain = best_move(g, SolveOptions(pruning=False))
+        assert plain.stats.dominated_skips == 0
+        for memo in (True, False):
+            ref, gv = best_move(g, SolveOptions(memo=memo))
+            assert (ref, gv.differential) == (want, plain.differential), (g.signature(), memo)
+            assert gv.stats.dominated_skips > 0
+
+
+def test_dominated_skips_are_counted_apart_from_symmetric_skips():
+    g = make("balloon_path", 8)
+    assert solve(g).stats.dominated_skips > 0
+    # nothing is keyed without the table, so no orbit is skipped
+    bare = solve(g, SolveOptions(memo=False)).stats
+    assert bare.dominated_skips > 0 and bare.symmetric_skips == 0
+    assert solve(g, SolveOptions(pruning=False)).stats.dominated_skips == 0
