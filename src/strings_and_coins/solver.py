@@ -26,7 +26,9 @@ Search options layer on top of that definition without changing it:
                     at all: the capture is taken at once, and the position
                     is neither keyed, probed, stored nor counted as a node.
                     At a coin whose neighbour holds two strings, only the
-                    captures and the decline are tried (below).
+                    captures and the decline are tried; elsewhere a coin
+                    holding two strings is offered only by the cut a
+                    hard-hearted handout keeps (both below).
 
 Any combination yields the same value; only the work differs.
 ``solve`` values one position, ``best_move`` also names an optimal move,
@@ -84,6 +86,41 @@ representative (a capturing f's orbit is among the captures).  The best
 of them has the node's value, so exact and bound results stay sound, and
 ``best_move``'s root leaves the same classes out: none is optimal.
 ``SearchStats.dominated_skips`` counts the classes left out.
+
+Where neither rule fires, no coin holds a single string, so no cut
+captures, and the search leaves out the cut that only hands the
+opponent an extra option: it offers a coin by its middle string, the
+hard-hearted handout (Berlekamp).  Let coin v hold exactly two strings,
+each of multiplicity 1: a, and s = (v, w), where s is no loop.  The
+search leaves a out when
+
+* (L) a is a loop, or
+* (N) a = (v, x) is no loop, x holds three or more strings, and w holds
+  exactly two.
+
+After cutting s, v hangs on a, and a is a loop or its other end holds
+three or more strings, so the safe-capture theorem gives the opponent
+exactly 1 + value(g - s - a): s is worth -1 - value(g - s - a).  Cutting
+a captures nothing, and the opponent may then cut s, take v and move
+again in g - a - s, so value(g - a) >= 1 + value(g - a - s) and a is
+worth at most what s is.
+
+No dominator is ever left out.  The string s is no loop, so only (N)
+could leave it out.  From w's side that needs v to hold three or more
+strings, and v holds two.  From v's side it needs a to be no loop, which
+fails in (L), and w to hold three or more strings, which fails in (N).
+A coin between two joints, two coins that each hold three or more
+strings, keeps both of its strings: each dominates the other, and
+leaving one out would take a tie-break on labels, which could leave out
+both once move classes keep one orbit representative of a symmetric
+pair.
+
+The conditions read only incident counts, so they hold alike across an
+orbit, and the rule filters ``canonical.move_classes`` as it filters
+``g.signature()``.  A tried class is worth at least as much as each class
+left out, so exact and fail-soft results stay sound, as for the decline,
+and ``dominated_skips`` counts these classes too.  ``best_move``'s root
+keeps them: one can tie its dominator, and the tie-break may pick it.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
 (and ``strategies.best_response_value``, through ``check_depth``) refuse,
@@ -256,7 +293,7 @@ class SearchStats:
     symmetric_skips: int = 0
     # safe captures taken at once, without keying or expanding the position
     forced_captures: int = 0
-    # edge classes not tried because capturing beats them by 2 or more
+    # edge classes not tried because a tried class is worth at least as much
     dominated_skips: int = 0
     elapsed: float = 0.0
 
@@ -377,6 +414,43 @@ class _Searcher:
             kept.append(f)
         return kept
 
+    def _hard_hearted(self, g: LoopyMultigraph, moves: tuple) -> tuple | list:
+        """The classes of ``moves`` that a hard-hearted handout keeps, at a
+        node where no coin holds a single string.  At a coin v holding
+        exactly two strings, each of multiplicity 1, a and s = (v, w) with
+        s no loop, a is left out when it is a loop, or when a = (v, x) with
+        x holding three or more strings and w exactly two: cutting s is
+        worth at least as much (module docstring).  The classes left out
+        count in ``dominated_skips``."""
+        inc = g._incident
+        out = set()
+        first = {}
+        for t in g._sig:
+            a, b, m = t
+            if m != 1:
+                continue
+            if a == b:
+                if inc[a] == 2:
+                    out.add(t)
+                continue
+            for v, x in ((a, b), (b, a)):
+                if inc[v] != 2:
+                    continue
+                if v not in first:
+                    first[v] = t, x
+                    continue
+                # v holds u = (v, y) and t = (v, x)
+                u, y = first[v]
+                if inc[x] >= 3 and inc[y] == 2:
+                    out.add(t)
+                elif inc[y] >= 3 and inc[x] == 2:
+                    out.add(u)
+        if not out:
+            return moves
+        kept = [t for t in moves if t not in out]
+        self.stats.dominated_skips += len(moves) - len(kept)
+        return kept
+
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
         """Fail-soft value of ``g`` for the window (alpha, beta): exact
         strictly inside it, an upper bound at or below alpha, a lower
@@ -391,6 +465,8 @@ class _Searcher:
         (``_forced``) only the capturing classes among them and the
         decline are tried: a class left out is then worth at least 2 less
         than a capture, and again the best tried class has the true value.
+        Where ``_forced`` finds nothing, the classes a hard-hearted
+        handout leaves out are each worth no more than a tried class.
         A fail-soft search over those classes is then as sound as over all:
         an exact result stays exact; a fail-high result is a lower bound
         from a real child; a fail-low result is the largest of upper bounds
@@ -460,6 +536,8 @@ class _Searcher:
         self.stats.symmetric_skips += len(g.signature()) - len(moves)
         if decline is not None:
             moves = self._undominated(g, moves, decline)
+        elif pruning:
+            moves = self._hard_hearted(g, moves)
         a0 = a
         best = -(1 << 30)
         null = False
@@ -545,7 +623,9 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     is isomorphic to an earlier sibling's costs one exact table hit.
     With pruning on, a root where ``search`` would try only the captures
     and the decline tries only those: a class left out is at least 2
-    below a capture, so it is never optimal and no tie is lost.
+    below a capture, so it is never optimal and no tie is lost.  The
+    root keeps every class a hard-hearted handout leaves out: such a
+    class can tie its dominator and win the tie-break.
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")

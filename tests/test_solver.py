@@ -363,13 +363,13 @@ def test_stats_populated():
 # tries moves, to the moves it tries, or to where it cuts off, shows up
 # here.
 _SEARCH_TRACE = [
-    ("complete", 6, SolveOptions(), (4, 86, 83)),
-    ("prism", 5, SolveOptions(), (6, 160, 177)),
-    ("wheel", 7, SolveOptions(), (-4, 135, 133)),
-    ("balloon_path", 8, SolveOptions(), (0, 335, 461)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 224, 206)),
-    ("friendship", 5, SolveOptions(), (-3, 10, 9)),
-    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 366, 0)),
+    ("complete", 6, SolveOptions(), (4, 82, 79)),
+    ("prism", 5, SolveOptions(), (6, 129, 114)),
+    ("wheel", 7, SolveOptions(), (-4, 113, 74)),
+    ("balloon_path", 8, SolveOptions(), (0, 261, 278)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 162, 122)),
+    ("friendship", 5, SolveOptions(), (-3, 6, 0)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 250, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
 _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
@@ -406,10 +406,10 @@ def test_pruning_expands_no_more_nodes(family, params):
 
 def test_best_move_is_pinned():
     expect = {
-        ("complete", 6): (EdgeRef(0, 1), 4, 85, 97),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 177, 242),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 377, 657),
-        ("friendship", 5): (EdgeRef(0, 1), -3, 9, 22),
+        ("complete", 6): (EdgeRef(0, 1), 4, 81, 93),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 142, 173),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 292, 402),
+        ("friendship", 5): (EdgeRef(0, 1), -3, 6, 15),
     }
     for (family, param), want in expect.items():
         ref, gv = best_move(make(family, param))
@@ -567,4 +567,140 @@ def test_dominated_skips_are_counted_apart_from_symmetric_skips():
     # nothing is keyed without the table, so no orbit is skipped
     bare = solve(g, SolveOptions(memo=False)).stats
     assert bare.dominated_skips > 0 and bare.symmetric_skips == 0
+    assert solve(g, SolveOptions(pruning=False)).stats.dominated_skips == 0
+
+
+def _left_out(g: LoopyMultigraph) -> set:
+    """The classes of ``g`` that a hard-hearted handout leaves out."""
+    return set(g.signature()) - set(_Searcher(SolveOptions(), None)._hard_hearted(g, g.signature()))
+
+
+def _no_single_strings(rng: random.Random, edges: list) -> list:
+    """``edges`` with a loop, or a string to another coin, added at each
+    coin that holds a single string, so that neither a safe capture nor a
+    decline is found."""
+    inc = {}
+    for a, b in edges:
+        inc[a] = inc.get(a, 0) + 1
+        if a != b:
+            inc[b] = inc.get(b, 0) + 1
+    coins = sorted(inc)
+    for v in coins:
+        if inc[v] == 1:
+            u = rng.choice(coins)
+            edges.append((v, u))
+            inc[v] += 1
+            if u != v:
+                inc[u] += 1
+    return edges
+
+
+_HANDOUT_KINDS = ["loop", "chain_end", "between_joints", "parallel_pair", "components"]
+
+
+def _handout_positions(count: int) -> list[tuple[str, LoopyMultigraph, list]]:
+    """Small random positions in which no coin holds a single string, as
+    (kind, position, the gadget's strings).  In turn the gadget is a coin v
+    holding a loop and a string into the random part; a chain w - v - v+1 - y
+    between coins of the random part, whose end strings are chain ends
+    beside a joint; coins v and v+1 each between the same two joints of
+    the random part, where nothing of the gadget may be left out; a coin
+    holding two parallel strings to the random part; and a separate
+    balloon path of 3 beside a triangle with a loop."""
+    rng = random.Random(2025)
+    out = []
+    while len(out) < count:
+        kind = _HANDOUT_KINDS[len(out) % len(_HANDOUT_KINDS)]
+        edges = _no_single_strings(rng, support.random_edges(rng, max_vertices=4, max_edges=4, loop_chance=0.3))
+        coins = sorted({c for e in edges for c in e})
+        v = 1 + coins[-1]
+        w, y = rng.choice(coins), rng.choice(coins)
+        if kind == "loop":
+            gadget = [(v, v), (v, w)]
+        elif kind == "chain_end":
+            gadget = [(w, v), (v, v + 1), (v + 1, y)]
+        elif kind == "between_joints":
+            if w == y:
+                continue
+            gadget = [(w, v), (v, y), (w, v + 1), (v + 1, y)]
+        elif kind == "parallel_pair":
+            gadget = [(v, w), (v, w)]
+        else:
+            gadget = [(v, v), (v, v + 1), (v + 1, v + 1), (v + 1, v + 2), (v + 2, v + 2)]
+            gadget += [(v + 3, v + 4), (v + 4, v + 5), (v + 3, v + 5), (v + 5, v + 5)]
+        g = LoopyMultigraph.from_edges(edges + gadget)
+        if g.edge_count <= 12:
+            assert _Searcher._forced(g) is None, g.signature()
+            out.append((kind, g, [(min(e), max(e)) for e in gadget]))
+    return out
+
+
+def test_hard_hearted_handout_keeps_the_blind_value():
+    """Positions with no coin on a single string solve to the blind
+    oracle's value, with and without the table.  The rule leaves a
+    string of the gadget out, except at a coin between two joints or on
+    a parallel pair, where it leaves out none."""
+    for kind, g, gadget in _handout_positions(60):
+        left_out = {t[:2] for t in _left_out(g)}
+        if kind in ("between_joints", "parallel_pair"):
+            assert not left_out & set(gadget), (kind, g.signature())
+        else:
+            assert left_out & set(gadget), (kind, g.signature())
+        expect = support.brute_value(g)
+        assert solve(g).differential == expect, (kind, g.signature())
+        assert solve(g, SolveOptions(memo=False)).differential == expect, (kind, g.signature())
+
+
+def test_classes_a_handout_leaves_out_are_worth_no_more_than_their_dominator():
+    """On small random positions where the rule fires, a plain memoised
+    negamax values every class left out at most at a kept dominator, the
+    other string of a coin holding two, and the best kept class at the
+    position's value."""
+    rng = random.Random(1995)
+    checked = 0
+    while checked < 150:
+        edges = support.random_edges(rng, max_vertices=6, max_edges=7, loop_chance=0.3)
+        g = LoopyMultigraph.from_edges(_no_single_strings(rng, edges))
+        left_out = _left_out(g)
+        if not left_out or g.edge_count > 10:
+            continue
+        sig = g.signature()
+        worth = {}
+        for t in sig:
+            captured, succ = g._child(t[0], t[1])
+            worth[t] = captured + support.brute_value(succ) if captured else -support.brute_value(succ)
+        for t in left_out:
+            others = [s for v in t[:2] if g.incident_count(v) == 2 for s in sig if s != t and v in s[:2]]
+            assert any(s not in left_out and worth[t] <= worth[s] for s in others), (sig, t)
+        assert max(worth[t] for t in sig if t not in left_out) == support.brute_value(g), sig
+        checked += 1
+
+
+def test_best_move_keeps_the_classes_a_handout_leaves_out():
+    """A root where the rule fires names the move and value that trying
+    every class names, with and without the table, and on some such roots
+    that move is a class the rule leaves out."""
+    picked = 0
+    for _, g, _ in _handout_positions(40):
+        left_out = _left_out(g)
+        if not left_out:
+            continue
+        want, plain = best_move(g, SolveOptions(pruning=False))
+        for memo in (True, False):
+            ref, gv = best_move(g, SolveOptions(memo=memo))
+            assert (ref, gv.differential) == (want, plain.differential), (g.signature(), memo)
+        picked += any(t[:2] == want for t in left_out)
+    assert picked > 0
+
+
+def test_handout_skips_count_as_dominated_skips():
+    # balloon_path(3) holds no coin on a single string, so at its root only
+    # the handout rule fires: it leaves out the loops at both ends
+    g = make("balloon_path", 3)
+    assert _Searcher._forced(g) is None and _left_out(g) == {(0, 0, 1), (2, 2, 1)}
+    searcher = _Searcher(SolveOptions(), None)
+    searcher._hard_hearted(g, g.signature())
+    assert searcher.stats.dominated_skips == 2
+    assert solve(g).stats.dominated_skips > 0
+    assert solve(g, SolveOptions(memo=False)).stats.dominated_skips > 0
     assert solve(g, SolveOptions(pruning=False)).stats.dominated_skips == 0
