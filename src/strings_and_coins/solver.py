@@ -28,7 +28,8 @@ Search options layer on top of that definition without changing it:
                     At a coin whose neighbour holds two strings, only the
                     captures and the decline are tried; elsewhere a coin
                     holding two strings is offered only by the cut a
-                    hard-hearted handout keeps (both below).
+                    hard-hearted handout keeps, and a chain of three or
+                    more coins by one of its links (all below).
 
 Any combination yields the same value; only the work differs.
 ``solve`` values one position, ``best_move`` also names an optimal move,
@@ -121,6 +122,70 @@ orbit, and the rule filters ``canonical.move_classes`` as it filters
 left out, so exact and fail-soft results stay sound, as for the decline,
 and ``dominated_skips`` counts these classes too.  ``best_move``'s root
 keeps them: one can tie its dominator, and the tie-break may pick it.
+
+Where ``_forced`` finds nothing, a long chain is also offered by one cut
+only, Berlekamp's loony move: opening a chain of three or more coins
+anywhere hands the opponent the same position up to the split of the
+chain, and the split does not change its value.  A chain is a maximal
+run of coins v1, ..., vk that each hold exactly two strings of
+multiplicity 1, joined by links s_i = (v_i, v_i+1), 0 < i < k.  Its end
+strings s_0 at v1 and s_k at vk are loops (strings to the ground) or run
+to joints, coins holding three or more strings; both may run to the same
+joint.  With k >= 3 the search tries, of the k - 1 links, only the first
+in ``moves``.
+
+Let D(a, b), a + b <= k, be g without the coins v_a+1, ..., v_k-b and the
+strings s_a, ..., s_k-b: a piece of a coins hangs by s_0 and one of b by
+s_k, and cutting s_i hands the opponent D(i, k - i).  Let h = value(D(0,
+0)) and p = value(D(1, 0)); taking the lone coin shows p >= 1 + h.  A
+joint holds at least one string outside the chain, two if it is only one
+chain end, and one more per nonempty piece hanging from it; so it holds
+three or more while both pieces are nonempty, and two or more while one
+is, also when the chain returns to its own joint.  So for a + b >= 1 no
+coin of D(a, b) holds a single string but the free end of each nonempty
+piece, since g has none.  Hence:
+
+* D(1, 1): each lone coin hangs by a loop or from a joint holding three
+  or more strings, so a one-coin piece left by a cut of a longer chain is
+  a safe capture.  Taken at either coin first, value(D(1, 1)) = 1 + p =
+  1 + value(D(0, 1)), so D(0, 1) is worth p too.
+* D(a, b) with a >= 2 (b alike): the free end hangs on a coin holding two
+  strings, so only the captures and the decline count (above).  A
+  capture takes one coin, leaving D(a - 1, b) or D(a, b - 1).  The decline
+  cuts a link, or an end string at a joint holding two or more, or a loop
+  at a coin holding a link, so it captures nothing.  It leaves the last
+  two coins of the piece as a component of their own, a safe capture, so
+  it is worth -2 - value(D(a - 2, b)).
+
+Claim: value(D(a, b)) = F(n) = max(n - 1 + p, n - 4 - h), n = a + b,
+for n >= 2 and (a, b) != (1, 1); say a >= 2.  Below: taking one coin at a
+time shows value(D(a, b)) >= n - 1 + p for n >= 1, and taking all but
+the last two coins of the piece of a and then declining shows
+value(D(a, b)) >= n - 4 - h.  Above, by induction on n: a capture is
+worth 1 + F(n - 1) = F(n), or 1 + value(D(1, 1)) = 2 + p when n = 3, or
+1 + p when n = 2, each at most F(n).  The decline is worth -2 - h <=
+F(2) when n = 2, and otherwise at most -2 - (n - 3 + p) <= -n - h <=
+n - 4 - h.  So every link of a chain of three or more coins leaves the
+opponent F(k), and so does each end string, since D(k, 0) and D(0, k)
+hold a piece of k >= 2.  The kept link is worth exactly each link left
+out.
+
+Two cases are left alone.  A two-coin chain has one link, which leaves
+the opponent D(1, 1) = 1 + p, while an end string leaves F(2), which is
+more when -2 - h > 1 + p: there the cuts differ, and the handout rule
+already keeps only the link.  A jointless cycle has no end to hang its
+pieces from, so the proof does not reach it; its cuts are all one orbit
+under rotation, so with the table ``move_classes`` already tries one.
+
+Each chain keeps the first of its links in ``moves``, never a link picked
+by label: a link that ``move_classes`` left out is covered by its orbit's
+representative, an automorphism maps chains onto chains of the same
+length, and each chain with a link in ``moves`` keeps one.  The handout
+rule never leaves out a link (both its coins hold two strings), so the
+kept link is tried, and a handout's dominator that the chain rule leaves
+out is worth exactly the kept link on its chain.  Links left out count in
+``dominated_skips``.  ``best_move``'s root keeps them: each ties the kept
+link and may win the tie-break.
 
 The search recurses once per cut string, so ``solve`` and ``best_move``
 (and ``strategies.best_response_value``, through ``check_depth``) refuse,
@@ -395,12 +460,6 @@ class _Searcher:
             if (f[0] == u or f[1] == u) and f is not e:
                 return e, f
 
-    @staticmethod
-    def _safe_capture(g: LoopyMultigraph) -> tuple | None:
-        """The safe capture ``_forced`` finds in ``g``, or None."""
-        found = _Searcher._forced(g)
-        return found[0] if found is not None and found[1] is None else None
-
     def _undominated(self, g: LoopyMultigraph, moves: tuple, f: tuple) -> list:
         """The classes of ``moves`` that capture, plus the decline ``f``
         even when ``moves`` lacks it, in the order of ``moves``, f last
@@ -414,17 +473,32 @@ class _Searcher:
             kept.append(f)
         return kept
 
-    def _hard_hearted(self, g: LoopyMultigraph, moves: tuple) -> tuple | list:
-        """The classes of ``moves`` that a hard-hearted handout keeps, at a
-        node where no coin holds a single string.  At a coin v holding
-        exactly two strings, each of multiplicity 1, a and s = (v, w) with
-        s no loop, a is left out when it is a loop, or when a = (v, x) with
-        x holding three or more strings and w exactly two: cutting s is
-        worth at least as much (module docstring).  The classes left out
-        count in ``dominated_skips``."""
+    @staticmethod
+    def _dominated(g: LoopyMultigraph, moves: tuple) -> tuple[set, set | tuple]:
+        """The classes left out at a node where no coin holds a single
+        string, from one pass over the signature of ``g``, as (handouts,
+        chains).
+
+        ``handouts`` holds what a hard-hearted handout leaves out: at a coin
+        v holding exactly two strings, each of multiplicity 1, a and
+        s = (v, w) with s no loop, a when it is a loop, or when a = (v, x)
+        with x holding three or more strings and w exactly two.  Cutting s
+        is worth at least as much.
+
+        ``chains`` holds, on each chain of three or more coins, the strings
+        between two of its coins except the first of them in ``moves``:
+        all of them are worth the same.  A link is a string of multiplicity
+        1 between two coins that each hold exactly two strings; a chain's
+        links form a path, and a jointless cycle's a cycle, which keeps all
+        of them.  Unless some coin holds two links, there is no chain of
+        three coins, and ``chains`` is empty without a second look at
+        ``moves``.  The module docstring proves both rules."""
         inc = g._incident
         out = set()
         first = {}
+        links = []
+        # set once a coin holds two links
+        joined = False
         for t in g._sig:
             a, b, m = t
             if m != 1:
@@ -433,19 +507,80 @@ class _Searcher:
                 if inc[a] == 2:
                     out.add(t)
                 continue
-            for v, x in ((a, b), (b, a)):
-                if inc[v] != 2:
-                    continue
-                if v not in first:
-                    first[v] = t, x
-                    continue
-                # v holds u = (v, y) and t = (v, x)
-                u, y = first[v]
-                if inc[x] >= 3 and inc[y] == 2:
-                    out.add(t)
-                elif inc[y] >= 3 and inc[x] == 2:
-                    out.add(u)
-        if not out:
+            na, nb = inc[a], inc[b]
+            if na == 2:
+                if nb == 2:
+                    links.append(t)
+                if a in first:
+                    # a holds u = (a, y) and t = (a, b)
+                    u, y = first[a]
+                    ny = inc[y]
+                    if nb >= 3:
+                        if ny == 2:
+                            out.add(t)
+                    elif nb == 2:
+                        if ny >= 3:
+                            out.add(u)
+                        elif ny == 2:
+                            joined = True
+                else:
+                    first[a] = t, b
+            if nb == 2:
+                if b in first:
+                    u, y = first[b]
+                    ny = inc[y]
+                    if na >= 3:
+                        if ny == 2:
+                            out.add(t)
+                    elif na == 2:
+                        if ny >= 3:
+                            out.add(u)
+                        elif ny == 2:
+                            joined = True
+                else:
+                    first[b] = t, a
+        if not joined:
+            return out, ()
+        return out, _Searcher._chain_skips(links, moves)
+
+    @staticmethod
+    def _chain_skips(links: list, moves: tuple) -> set:
+        """The links of ``moves`` that lie on a path of ``links`` together
+        with a link earlier in ``moves``.  A cycle of links leaves none
+        out."""
+        at = {}
+        for t in links:
+            at.setdefault(t[0], []).append(t)
+            at.setdefault(t[1], []).append(t)
+        covered = set()
+        skips = set()
+        for t in moves:
+            if t in covered:
+                skips.add(t)
+            elif t in at.get(t[0], ()):
+                run = [t]
+                ends = 0
+                for s in run:  # grows while it is read
+                    for v in (s[0], s[1]):
+                        here = at[v]
+                        if len(here) == 1:
+                            ends += 1
+                        else:
+                            for u in here:
+                                if u not in run:
+                                    run.append(u)
+                if ends:
+                    covered.update(run)
+        return skips
+
+    def _unforced(self, g: LoopyMultigraph, moves: tuple) -> tuple | list:
+        """The classes of ``moves`` that the handout and chain rules keep
+        (``_dominated``), at a node where no coin holds a single string.
+        The classes left out count in ``dominated_skips``."""
+        out, chains = self._dominated(g, moves)
+        if chains:
+            out |= chains
+        elif not out:
             return moves
         kept = [t for t in moves if t not in out]
         self.stats.dominated_skips += len(moves) - len(kept)
@@ -466,7 +601,9 @@ class _Searcher:
         decline are tried: a class left out is then worth at least 2 less
         than a capture, and again the best tried class has the true value.
         Where ``_forced`` finds nothing, the classes a hard-hearted
-        handout leaves out are each worth no more than a tried class.
+        handout leaves out are each worth no more than a tried class, and
+        the links a chain of three or more coins leaves out exactly what
+        its tried link is worth.
         A fail-soft search over those classes is then as sound as over all:
         an exact result stays exact; a fail-high result is a lower bound
         from a real child; a fail-low result is the largest of upper bounds
@@ -537,7 +674,7 @@ class _Searcher:
         if decline is not None:
             moves = self._undominated(g, moves, decline)
         elif pruning:
-            moves = self._hard_hearted(g, moves)
+            moves = self._unforced(g, moves)
         a0 = a
         best = -(1 << 30)
         null = False
@@ -624,8 +761,9 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     With pruning on, a root where ``search`` would try only the captures
     and the decline tries only those: a class left out is at least 2
     below a capture, so it is never optimal and no tie is lost.  The
-    root keeps every class a hard-hearted handout leaves out: such a
-    class can tie its dominator and win the tie-break.
+    root keeps every class a hard-hearted handout leaves out, and every
+    link of a chain: such a class can tie its dominator, or the link kept
+    on its chain, and win the tie-break.
     """
     if g.edge_count == 0:
         raise EmptyPositionError("no moves: position has no edges")

@@ -364,12 +364,12 @@ def test_stats_populated():
 # here.
 _SEARCH_TRACE = [
     ("complete", 6, SolveOptions(), (4, 82, 79)),
-    ("prism", 5, SolveOptions(), (6, 129, 114)),
-    ("wheel", 7, SolveOptions(), (-4, 113, 74)),
-    ("balloon_path", 8, SolveOptions(), (0, 261, 278)),
-    ("ferris_wheel", 7, SolveOptions(), (-3, 162, 122)),
+    ("prism", 5, SolveOptions(), (6, 126, 109)),
+    ("wheel", 7, SolveOptions(), (-4, 104, 69)),
+    ("balloon_path", 8, SolveOptions(), (0, 217, 233)),
+    ("ferris_wheel", 7, SolveOptions(), (-3, 143, 106)),
     ("friendship", 5, SolveOptions(), (-3, 6, 0)),
-    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 250, 0)),
+    ("ferris_wheel", 4, SolveOptions(memo=False), (2, 191, 0)),
     ("prism", 3, SolveOptions(pruning=False), (4, 47, 83)),
 ]
 _TRACE_IDS = [f"{f}{p}" + ("" if o == SolveOptions() else "-options") for f, p, o, _ in _SEARCH_TRACE]
@@ -407,8 +407,8 @@ def test_pruning_expands_no_more_nodes(family, params):
 def test_best_move_is_pinned():
     expect = {
         ("complete", 6): (EdgeRef(0, 1), 4, 81, 93),
-        ("wheel", 7): (EdgeRef(0, 1), -4, 142, 173),
-        ("balloon_path", 8): (EdgeRef(3, 4), 0, 292, 402),
+        ("wheel", 7): (EdgeRef(0, 1), -4, 130, 164),
+        ("balloon_path", 8): (EdgeRef(3, 4), 0, 254, 357),
         ("friendship", 5): (EdgeRef(0, 1), -3, 6, 15),
     }
     for (family, param), want in expect.items():
@@ -440,7 +440,8 @@ def test_safe_captures_keep_the_blind_value():
     """Positions where the rule fires solve to the blind oracle's value,
     with and without the table."""
     for g in _safe_capture_positions(60):
-        assert _Searcher._safe_capture(g) is not None, g.signature()
+        forced = _Searcher._forced(g)
+        assert forced is not None and forced[1] is None, g.signature()
         expect = support.brute_value(g)
         gv = solve(g)
         assert gv.differential == expect, g.signature()
@@ -452,7 +453,7 @@ def test_capture_next_to_a_coin_with_two_strings_is_not_safe():
     # coin 3 hangs on coin 4, which holds its string and a loop: taking
     # coin 3 first loses by one, while the position wins by one
     g = LoopyMultigraph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (4, 4)])
-    assert _Searcher._safe_capture(g) is None
+    assert _Searcher._forced(g) == ((3, 4, 1), (4, 4, 1))
     captured, succ = g._child(3, 4)
     assert captured + solve(succ).differential == -1
     for opts in (SolveOptions(), SolveOptions(pruning=False)):
@@ -470,10 +471,10 @@ def test_no_keyed_position_holds_a_safe_capture(monkeypatch):
 
     monkeypatch.setattr(canonical, "_key_graph", spy)
     solve(make("balloon_path", 8))
-    assert keyed and not any(_Searcher._safe_capture(g) for g in keyed)
+    assert keyed and not any(f is not None and f[1] is None for f in map(_Searcher._forced, keyed))
     keyed.clear()
     solve(make("balloon_path", 8), SolveOptions(pruning=False))
-    assert any(_Searcher._safe_capture(g) for g in keyed)
+    assert any(f is not None and f[1] is None for f in map(_Searcher._forced, keyed))
 
 
 def test_forced_captures_are_counted_only_with_pruning():
@@ -572,7 +573,7 @@ def test_dominated_skips_are_counted_apart_from_symmetric_skips():
 
 def _left_out(g: LoopyMultigraph) -> set:
     """The classes of ``g`` that a hard-hearted handout leaves out."""
-    return set(g.signature()) - set(_Searcher(SolveOptions(), None)._hard_hearted(g, g.signature()))
+    return _Searcher._dominated(g, g.signature())[0]
 
 
 def _no_single_strings(rng: random.Random, edges: list) -> list:
@@ -698,9 +699,207 @@ def test_handout_skips_count_as_dominated_skips():
     # the handout rule fires: it leaves out the loops at both ends
     g = make("balloon_path", 3)
     assert _Searcher._forced(g) is None and _left_out(g) == {(0, 0, 1), (2, 2, 1)}
+    assert not _Searcher._dominated(g, g.signature())[1]
     searcher = _Searcher(SolveOptions(), None)
-    searcher._hard_hearted(g, g.signature())
+    searcher._unforced(g, g.signature())
     assert searcher.stats.dominated_skips == 2
     assert solve(g).stats.dominated_skips > 0
     assert solve(g, SolveOptions(memo=False)).stats.dominated_skips > 0
     assert solve(g, SolveOptions(pruning=False)).stats.dominated_skips == 0
+
+
+def _chains(g: LoopyMultigraph) -> list[list]:
+    """The links of each chain of three or more coins in ``g``, each list
+    in signature order: a link is a string of multiplicity 1 between two
+    coins that each hold exactly two strings of multiplicity 1, and the
+    links of a chain form a path of two or more.  A jointless cycle is no
+    chain."""
+    sig = g.signature()
+    two = {v for v in g.vertices if g.incident_count(v) == 2 and all(t[2] == 1 for t in sig if v in t[:2])}
+    links = [t for t in sig if t[0] != t[1] and t[0] in two and t[1] in two]
+    out = []
+    left = set(links)
+    while left:
+        run = [min(left)]
+        left.remove(run[0])
+        for s in run:  # grows while it is read
+            for t in sorted(left):
+                if set(t[:2]) & set(s[:2]):
+                    left.remove(t)
+                    run.append(t)
+        coins = {v for t in run for v in t[:2]}
+        if len(run) >= 2 and len(coins) == len(run) + 1:
+            out.append(sorted(run))
+    return out
+
+
+def _chain_left_out(g: LoopyMultigraph) -> set:
+    """The classes of ``g`` that the chain rule leaves out."""
+    return set(_Searcher._dominated(g, g.signature())[1])
+
+
+_CHAIN_KINDS = ["ground_ground", "joint_joint", "joint_ground", "own_joint", "two_coin", "cycle", "two_components"]
+
+
+def _chain_positions(count: int) -> list[tuple[str, LoopyMultigraph, list, int]]:
+    """Small random positions in which no coin holds a single string, as
+    (kind, position, the gadget's strings, how many of them the chain rule
+    leaves out).  In turn the gadget is a chain of 3 or 4 coins v, v+1, ...
+    with a loop at each end; one between two coins of the random part; one
+    from such a coin to a loop; one that returns to the coin it leaves; a
+    two-coin chain between two coins of the random part and a jointless
+    cycle of 3 or 4 coins, where nothing may be left out; and two chains of
+    three coins in separate components, one ending in loops and one
+    between coins of the random part."""
+    rng = random.Random(2026)
+    out = []
+    while len(out) < count:
+        kind = _CHAIN_KINDS[len(out) % len(_CHAIN_KINDS)]
+        edges = _no_single_strings(rng, support.random_edges(rng, max_vertices=4, max_edges=3, loop_chance=0.3))
+        coins = sorted({c for e in edges for c in e})
+        v = 1 + coins[-1]
+        w, y = rng.choice(coins), rng.choice(coins)
+        k = rng.choice((3, 4))
+        path = [(v + i, v + i + 1) for i in range(k - 1)]
+        last = v + k - 1
+        if kind == "ground_ground":
+            gadget, skips = [(v, v)] + path + [(last, last)], k - 2
+        elif kind == "joint_joint":
+            if w == y:
+                continue
+            gadget, skips = [(w, v)] + path + [(last, y)], k - 2
+        elif kind == "joint_ground":
+            gadget, skips = [(w, v)] + path + [(last, last)], k - 2
+        elif kind == "own_joint":
+            gadget, skips = [(w, v)] + path + [(last, w)], k - 2
+        elif kind == "two_coin":
+            gadget, skips = [(w, v), (v, v + 1), (v + 1, y)], 0
+        elif kind == "cycle":
+            gadget, skips = path + [(v, last)], 0
+        else:
+            gadget = [(v, v), (v, v + 1), (v + 1, v + 2), (v + 2, v + 2)]
+            gadget += [(w, v + 3), (v + 3, v + 4), (v + 4, v + 5), (v + 5, y)]
+            skips = 2
+        g = LoopyMultigraph.from_edges(edges + gadget)
+        if g.edge_count <= 12:
+            assert _Searcher._forced(g) is None, g.signature()
+            out.append((kind, g, [(min(e), max(e), 1) for e in gadget], skips))
+    return out
+
+
+def test_chain_rule_keeps_the_blind_value():
+    """Positions with chains solve to the blind oracle's value, with and
+    without the table.  The rule leaves out every link of a chain of three
+    or more coins but its first, and nothing on a two-coin chain or a
+    jointless cycle."""
+    for kind, g, gadget, skips in _chain_positions(63):
+        left_out = _chain_left_out(g)
+        assert len(left_out & set(gadget)) == skips, (kind, g.signature())
+        assert left_out == {t for links in _chains(g) for t in links[1:]}, (kind, g.signature())
+        expect = support.brute_value(g)
+        assert solve(g).differential == expect, (kind, g.signature())
+        assert solve(g, SolveOptions(memo=False)).differential == expect, (kind, g.signature())
+
+
+def test_links_a_chain_leaves_out_are_worth_its_kept_link():
+    """A plain memoised negamax values every link the chain rule leaves
+    out exactly at the link kept on its chain, and the best class that
+    neither the handout nor the chain rule leaves out at the position's
+    value."""
+    checked = 0
+    for kind, g, _, skips in _chain_positions(42):
+        if not skips:
+            continue
+        handouts, chains = _Searcher._dominated(g, g.signature())
+        worth = {}
+        for t in g.signature():
+            captured, succ = g._child(t[0], t[1])
+            worth[t] = captured + support.brute_value(succ) if captured else -support.brute_value(succ)
+        for links in _chains(g):
+            kept = links[0]
+            assert kept not in chains | handouts, (kind, g.signature())
+            for t in links[1:]:
+                assert t in chains and worth[t] == worth[kept], (kind, g.signature(), t)
+        assert max(w for t, w in worth.items() if t not in chains | handouts) == support.brute_value(g), g.signature()
+        checked += 1
+    assert checked == 30
+
+
+def test_best_move_keeps_the_links_a_chain_leaves_out():
+    """A root where the chain rule fires names the move and value that
+    trying every class names, with and without the table, and on some such
+    roots that move is a link the rule leaves out."""
+    picked = 0
+    for kind, g, _, skips in _chain_positions(42):
+        if not skips:
+            continue
+        want, plain = best_move(g, SolveOptions(pruning=False))
+        for memo in (True, False):
+            ref, gv = best_move(g, SolveOptions(memo=memo))
+            assert (ref, gv.differential) == (want, plain.differential), (kind, g.signature(), memo)
+        picked += any(t[:2] == want for t in _chain_left_out(g))
+    assert picked > 0
+
+
+_AUDIT_FAMILIES = [("prism", 6), ("wheel", 9), ("balloon_path", 9), ("ferris_wheel", 8)]
+
+
+def test_pruning_rules_keep_their_margins_on_real_search_trees(monkeypatch):
+    """At nodes that cold solves of four families reach, every class is
+    valued by searches that apply none of the rules.  Each class the
+    decline, handout or chain rule leaves out keeps that rule's margin:
+    at least 2 below the capture, at most a kept string beside it, exactly
+    the link kept on its chain; and the best class tried is worth the best
+    class of all.  The nodes are sampled evenly from each rule's firings."""
+    fired = {"decline": [], "handout": [], "chain": []}
+    undominated, unforced = _Searcher._undominated, _Searcher._unforced
+
+    def spy_decline(self, g, moves, f):
+        tried = undominated(self, g, moves, f)
+        if set(moves) - set(tried):
+            fired["decline"].append((g, moves, set(moves) - set(tried), tried))
+        return tried
+
+    def spy_unforced(self, g, moves):
+        handouts, chains = _Searcher._dominated(g, moves)
+        tried = unforced(self, g, moves)
+        if handouts & set(moves):
+            fired["handout"].append((g, moves, handouts & set(moves), tried))
+        if chains:
+            fired["chain"].append((g, moves, chains, tried))
+        return tried
+
+    monkeypatch.setattr(_Searcher, "_undominated", spy_decline)
+    monkeypatch.setattr(_Searcher, "_unforced", spy_unforced)
+    for family, param in _AUDIT_FAMILIES:
+        solve(make(family, param))
+    monkeypatch.undo()
+
+    plain = SolveOptions(pruning=False, table=TranspositionTable())
+    for rule, found in fired.items():
+        sample = found[:: max(1, len(found) // 50)]
+        assert len(sample) >= 50, (rule, len(found))
+        for g, moves, left_out, tried in sample:
+            sig = g.signature()
+            worth = {}
+            for t in sig:
+                captured, succ = g._child(t[0], t[1])
+                v = solve(succ, plain).differential
+                worth[t] = captured + v if captured else -v
+            assert max(worth[t] for t in tried) == max(worth.values()), (rule, sig)
+            if rule == "decline":
+                e = _Searcher._forced(g)[0]
+                for t in left_out:
+                    assert worth[t] <= worth[e] - 2, (sig, e, t)
+            elif rule == "handout":
+                for t in left_out:
+                    others = [s for v in t[:2] if g.incident_count(v) == 2 for s in sig if s != t and v in s[:2]]
+                    assert any(worth[t] <= worth[s] for s in others), (sig, t)
+            else:
+                on_chains = 0
+                for links in _chains(g):
+                    offered = [t for t in moves if t in links]
+                    for t in offered[1:]:
+                        assert t in left_out and worth[t] == worth[offered[0]], (sig, t)
+                    on_chains += len(offered[1:])
+                assert on_chains == len(left_out), sig
