@@ -655,14 +655,6 @@ def key_fields(length: int) -> struct.Struct:
     return struct.Struct(f"<{length // 2}H")
 
 
-def unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
-    """Inverse of the key layout: (vertex count, sorted edge triples)."""
-    if len(key) % 6 != 2:
-        raise ValueError("malformed canonical key")
-    f = key_fields(len(key)).unpack(key)
-    return f[0], list(zip(f[1::3], f[2::3], f[3::3]))
-
-
 # -- independent isomorphism oracle --------------------------------------------
 
 

@@ -217,7 +217,8 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", metavar="PATH", help=f"value cache file (default: ${CACHE_ENV})")
-    p.add_argument("--no-prune", action="store_true", help="disable alpha-beta windows")
+    p.add_argument("--no-prune", action="store_true", help="disable alpha-beta windows, the remaining-coin clamp "
+                   "and the move rules (safe captures, capture-or-decline, hard-hearted handouts, long chains)")
     p.add_argument("--no-memo", action="store_true", help="disable the transposition table and the value cache")
     p.add_argument("--time-budget", type=float, metavar="SECONDS", help="abort after this long")
 

@@ -123,7 +123,7 @@ left out, so exact and fail-soft results stay sound, as for the decline,
 and ``dominated_skips`` counts these classes too.  ``best_move``'s root
 keeps them: one can tie its dominator, and the tie-break may pick it.
 
-Where ``_forced`` finds nothing, a long chain is also offered by one cut
+Where ``_verdict`` finds nothing, a long chain is also offered by one cut
 only, Berlekamp's loony move: opening a chain of three or more coins
 anywhere hands the opponent the same position up to the split of the
 chain, and the split does not change its value.  A chain is a maximal
@@ -429,119 +429,50 @@ class _Searcher:
         return sorted(moves, key=rank)
 
     @staticmethod
-    def _forced(g: LoopyMultigraph) -> tuple | None:
-        """What the coins on their last string force, from one pass over
-        the signature of ``g``.  (t, None) when t is the first class, in
-        signature order, whose cut captures a coin v with no loss: v holds
-        this one string, and it is a loop or its other end holds other than
-        two strings.  Otherwise (e, f) when e is the first class that cuts
-        such a coin v from a u holding exactly two strings, and f is u's
-        other string: the decline.  None when neither exists."""
+    def _verdict(g: LoopyMultigraph) -> tuple:
+        """What the move rules make of ``g``, from one pass over its
+        signature, as (t, f, links):
+
+        * (t, None, None) when t is the first class, in signature order,
+          whose cut captures a coin v with no loss: v holds this one
+          string, and it is a loop or its other end holds other than two
+          strings.  The search takes it at once.
+        * Otherwise (e, f, None) when e is the first class that cuts such
+          a coin v from a u holding exactly two strings, and f is u's
+          other string: the decline.
+        * Otherwise (None, None, links): no coin holds a single string, and
+          ``links`` holds the strings of multiplicity 1 between two coins
+          that each hold exactly two strings.  ``_tried`` reads the
+          handouts and the chains off them.
+
+        The module docstring proves the rules."""
         inc = g._incident
         e = None
-        for t in g._sig:
-            a, b = t[0], t[1]
-            if a == b:
-                if inc[a] == 1:
-                    return t, None
-            elif inc[a] == 1:
-                if inc[b] != 2:
-                    return t, None
-                if e is None:
-                    e, u = t, b
-            elif inc[b] == 1:
-                if inc[a] != 2:
-                    return t, None
-                if e is None:
-                    e, u = t, a
-        if e is None:
-            return None
-        for f in g._sig:
-            if (f[0] == u or f[1] == u) and f is not e:
-                return e, f
-
-    def _undominated(self, g: LoopyMultigraph, moves: tuple, f: tuple) -> list:
-        """The classes of ``moves`` that capture, plus the decline ``f``
-        even when ``moves`` lacks it, in the order of ``moves``, f last
-        when added.  Every class left out is at least 2 below a capture
-        (module docstring), and counts in ``dominated_skips``."""
-        inc = g._incident
-        kept = [t for t in moves if inc[t[0]] == 1 or inc[t[1]] == 1 or t == f]
-        self.stats.dominated_skips += len(moves) - len(kept)
-        # a decline that captures is in the orbit of a capture kept above
-        if inc[f[0]] != 1 and inc[f[1]] != 1 and f not in kept:
-            kept.append(f)
-        return kept
-
-    @staticmethod
-    def _dominated(g: LoopyMultigraph, moves: tuple) -> tuple[set, set | tuple]:
-        """The classes left out at a node where no coin holds a single
-        string, from one pass over the signature of ``g``, as (handouts,
-        chains).
-
-        ``handouts`` holds what a hard-hearted handout leaves out: at a coin
-        v holding exactly two strings, each of multiplicity 1, a and
-        s = (v, w) with s no loop, a when it is a loop, or when a = (v, x)
-        with x holding three or more strings and w exactly two.  Cutting s
-        is worth at least as much.
-
-        ``chains`` holds, on each chain of three or more coins, the strings
-        between two of its coins except the first of them in ``moves``:
-        all of them are worth the same.  A link is a string of multiplicity
-        1 between two coins that each hold exactly two strings; a chain's
-        links form a path, and a jointless cycle's a cycle, which keeps all
-        of them.  Unless some coin holds two links, there is no chain of
-        three coins, and ``chains`` is empty without a second look at
-        ``moves``.  The module docstring proves both rules."""
-        inc = g._incident
-        out = set()
-        first = {}
         links = []
-        # set once a coin holds two links
-        joined = False
         for t in g._sig:
             a, b, m = t
-            if m != 1:
-                continue
             if a == b:
-                if inc[a] == 2:
-                    out.add(t)
+                if inc[a] == 1:
+                    return t, None, None
                 continue
             na, nb = inc[a], inc[b]
-            if na == 2:
-                if nb == 2:
-                    links.append(t)
-                if a in first:
-                    # a holds u = (a, y) and t = (a, b)
-                    u, y = first[a]
-                    ny = inc[y]
-                    if nb >= 3:
-                        if ny == 2:
-                            out.add(t)
-                    elif nb == 2:
-                        if ny >= 3:
-                            out.add(u)
-                        elif ny == 2:
-                            joined = True
-                else:
-                    first[a] = t, b
-            if nb == 2:
-                if b in first:
-                    u, y = first[b]
-                    ny = inc[y]
-                    if na >= 3:
-                        if ny == 2:
-                            out.add(t)
-                    elif na == 2:
-                        if ny >= 3:
-                            out.add(u)
-                        elif ny == 2:
-                            joined = True
-                else:
-                    first[b] = t, a
-        if not joined:
-            return out, ()
-        return out, _Searcher._chain_skips(links, moves)
+            if na == 1:
+                if nb != 2:
+                    return t, None, None
+                if e is None:
+                    e, u = t, b
+            elif nb == 1:
+                if na != 2:
+                    return t, None, None
+                if e is None:
+                    e, u = t, a
+            elif na == 2 and nb == 2 and m == 1:
+                links.append(t)
+        if e is not None:
+            for f in g._sig:
+                if (f[0] == u or f[1] == u) and f is not e:
+                    return e, f, None
+        return None, None, links
 
     @staticmethod
     def _chain_skips(links: list, moves: tuple) -> set:
@@ -573,17 +504,40 @@ class _Searcher:
                     covered.update(run)
         return skips
 
-    def _unforced(self, g: LoopyMultigraph, moves: tuple) -> tuple | list:
-        """The classes of ``moves`` that the handout and chain rules keep
-        (``_dominated``), at a node where no coin holds a single string.
-        The classes left out count in ``dominated_skips``."""
-        out, chains = self._dominated(g, moves)
-        if chains:
-            out |= chains
-        elif not out:
-            return moves
-        kept = [t for t in moves if t not in out]
+    def _tried(self, g: LoopyMultigraph, moves: tuple, f: tuple | None, links: list | None) -> tuple | list:
+        """The classes of ``moves`` left to try, in their order, by a
+        verdict (t, f, links) of ``_verdict`` other than a safe capture.
+
+        After a decline, the classes that capture, plus the decline f even
+        when ``moves`` lacks it, f last when added: every class left out is
+        at least 2 below a capture.  Otherwise every class but the
+        handouts and, on each chain of three or more coins, the links after
+        the first in ``moves``.  With no coin on a single string, the
+        handouts are the loops of multiplicity 1 at a coin holding two
+        strings (L), and each string one of whose ends holds a link and the
+        other none (N): the first end holds just the string and the link,
+        so the string has multiplicity 1, and its other end holds three or
+        more strings, or the string would be a link too.  The classes left
+        out count in ``dominated_skips``."""
+        inc = g._incident
+        if f is not None:
+            kept = [t for t in moves if inc[t[0]] == 1 or inc[t[1]] == 1 or t == f]
+        else:
+            on = {t[0] for t in links}
+            on.update(t[1] for t in links)
+            out = {
+                t for t in moves if (t[0] in on) != (t[1] in on) or t[0] == t[1] and t[2] == 1 and inc[t[0]] == 2
+            }
+            # only a coin holding two links joins a chain of three coins
+            if len(on) < 2 * len(links):
+                out |= self._chain_skips(links, moves)
+            if not out:
+                return moves
+            kept = [t for t in moves if t not in out]
         self.stats.dominated_skips += len(moves) - len(kept)
+        # a decline that captures is in the orbit of a capture kept above
+        if f is not None and inc[f[0]] != 1 and inc[f[1]] != 1 and f not in kept:
+            kept.append(f)
         return kept
 
     def search(self, g: LoopyMultigraph, alpha: int, beta: int) -> int:
@@ -597,10 +551,10 @@ class _Searcher:
         an isomorphic child, so its true value is that tried class's, and
         the true value of ``g`` is the best over the tried classes alone.
         With pruning on, at a coin whose neighbour holds two strings
-        (``_forced``) only the capturing classes among them and the
+        (``_verdict``) only the capturing classes among them and the
         decline are tried: a class left out is then worth at least 2 less
         than a capture, and again the best tried class has the true value.
-        Where ``_forced`` finds nothing, the classes a hard-hearted
+        Where ``_verdict`` finds neither, the classes a hard-hearted
         handout leaves out are each worth no more than a tried class, and
         the links a chain of three or more coins leaves out exactly what
         its tried link is worth.
@@ -625,22 +579,19 @@ class _Searcher:
             raise SolveBudgetExceeded(f"time budget {self.opts.time_budget}s exceeded")
         r = g.vertex_count
         pruning = self.opts.pruning
-        decline = None
         if pruning:
             # every remaining vertex goes to someone: |true value| <= r
             if r <= alpha:
                 return r
             if -r >= beta:
                 return -r
-            forced = self._forced(g)
-            if forced is not None:
-                t, decline = forced
-                if decline is None:
-                    # value(g) = captured + value(successor): see the module
-                    # docstring.  g is neither keyed nor stored
-                    self.stats.forced_captures += 1
-                    captured, succ = g._child(t[0], t[1])
-                    return captured + self.search(succ, alpha - captured, beta - captured)
+            t, f, links = self._verdict(g)
+            if t is not None and f is None:
+                # value(g) = captured + value(successor): see the module
+                # docstring.  g is neither keyed nor stored
+                self.stats.forced_captures += 1
+                captured, succ = g._child(t[0], t[1])
+                return captured + self.search(succ, alpha - captured, beta - captured)
             a = alpha if alpha > -r else -r
             b = beta if beta < r else r
         else:
@@ -671,10 +622,8 @@ class _Searcher:
             moves = g.signature()
         self.stats.nodes += 1
         self.stats.symmetric_skips += len(g.signature()) - len(moves)
-        if decline is not None:
-            moves = self._undominated(g, moves, decline)
-        elif pruning:
-            moves = self._unforced(g, moves)
+        if pruning:
+            moves = self._tried(g, moves, f, links)
         a0 = a
         best = -(1 << 30)
         null = False
@@ -776,9 +725,10 @@ def best_move(g: LoopyMultigraph, opts: SolveOptions | None = None) -> tuple[Edg
     best_ref = None
     best_key = b""
     classes = g.signature()
-    forced = searcher._forced(g) if opts.pruning else None
-    if forced is not None and forced[1] is not None:
-        classes = searcher._undominated(g, classes, forced[1])
+    if opts.pruning:
+        _, f, links = searcher._verdict(g)
+        if f is not None:
+            classes = searcher._tried(g, classes, f, links)
     for a, b, _ in classes:
         ref = EdgeRef(a, b)
         captured, succ = g._child(a, b)

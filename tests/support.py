@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from strings_and_coins.canonical import unpack_key
+from strings_and_coins.canonical import key_fields
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins.families import make
 from strings_and_coins.solver import SolveOptions, TranspositionTable, best_move
@@ -80,6 +80,14 @@ class OptimalPolicy:
 
     def observe(self, state, g_before, by_policy, move, outcome) -> tuple:
         return ()
+
+
+def unpack_key(key: bytes) -> tuple[int, list[tuple[int, int, int]]]:
+    """Inverse of the key layout: (vertex count, sorted edge triples)."""
+    if len(key) % 6 != 2:
+        raise ValueError("malformed canonical key")
+    f = key_fields(len(key)).unpack(key)
+    return f[0], list(zip(f[1::3], f[2::3], f[3::3]))
 
 
 def graph_from_key(key: bytes) -> LoopyMultigraph:

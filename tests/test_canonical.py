@@ -15,7 +15,6 @@ from strings_and_coins.canonical import (
     KeyLimitError,
     are_isomorphic,
     canonical_key,
-    unpack_key,
 )
 from strings_and_coins import canonical
 from strings_and_coins.families import make
@@ -112,7 +111,7 @@ def test_key_separates_path_from_cycle():
 
 def test_key_empty_graph():
     key = canonical_key(LoopyMultigraph.empty())
-    n, triples = unpack_key(key)
+    n, triples = support.unpack_key(key)
     assert n == 0 and triples == []
 
 
@@ -576,7 +575,7 @@ def test_key_limits_raise_typed_error():
     with pytest.raises(KeyLimitError, match="65536"):
         canonical_key(LoopyMultigraph.from_edges([(v, v) for v in range(65536)]))
     # the widest multiplicity that fits still keys
-    n, triples = unpack_key(canonical_key(LoopyMultigraph.from_edges([(0, 0)] * 65535)))
+    n, triples = support.unpack_key(canonical_key(LoopyMultigraph.from_edges([(0, 0)] * 65535)))
     assert (n, triples) == (1, [(0, 0, 65535)])
 
 
@@ -613,7 +612,7 @@ def test_key_round_trips_through_graph():
 
 
 def test_unpack_key_contents():
-    n, triples = unpack_key(canonical_key(make("cycle", 3)))
+    n, triples = support.unpack_key(canonical_key(make("cycle", 3)))
     assert n == 3
     assert len(triples) == 3
     assert all(m == 1 for _, _, m in triples)

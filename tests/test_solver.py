@@ -7,7 +7,7 @@ import pytest
 
 from strings_and_coins.graph import EdgeRef, LoopyMultigraph
 from strings_and_coins import canonical
-from strings_and_coins.canonical import canonical_key, clear_caches, unpack_key
+from strings_and_coins.canonical import canonical_key, clear_caches
 from strings_and_coins.families import make
 from strings_and_coins.solver import (
     DepthLimitError,
@@ -140,7 +140,7 @@ def test_parity_and_bound_invariants_in_memo():
     solve(make("wheel", 5), SolveOptions(table=table))
     checked = 0
     for key, value in table.fresh_exact_items():
-        n, _ = unpack_key(key)
+        n, _ = support.unpack_key(key)
         assert abs(value) <= n
         assert (value - n) % 2 == 0
         checked += 1
@@ -416,6 +416,26 @@ def test_best_move_is_pinned():
         assert (ref, gv.differential, gv.stats.nodes, gv.stats.memo_hits) == want
 
 
+def test_skip_counters_are_pinned():
+    """(symmetric_skips, forced_captures, dominated_skips) on the pinned
+    searches and ``best_move`` roots above: a change to which classes the
+    orbits and the move rules leave out shows up here."""
+    solves = [(374, 46, 21), (569, 130, 273), (328, 112, 190), (510, 254, 791),
+              (340, 136, 388), (37, 9, 4), (0, 71, 197), (110, 0, 0)]
+    for (family, param, opts, _), want in zip(_SEARCH_TRACE, solves, strict=True):
+        s = solve(make(family, param), opts).stats
+        assert (s.symmetric_skips, s.forced_captures, s.dominated_skips) == want, (family, param, opts)
+    roots = {
+        ("complete", 6): (360, 46, 21),
+        ("wheel", 7): (367, 178, 253),
+        ("balloon_path", 8): (623, 336, 889),
+        ("friendship", 5): (34, 19, 5),
+    }
+    for (family, param), want in roots.items():
+        s = best_move(make(family, param))[1].stats
+        assert (s.symmetric_skips, s.forced_captures, s.dominated_skips) == want, (family, param)
+
+
 def _safe_capture_positions(count: int) -> list[LoopyMultigraph]:
     """Small random positions, each with a coin that a safe capture takes:
     in turn a lone loop coin, a lone string, and a pendant coin on a coin
@@ -436,11 +456,18 @@ def _safe_capture_positions(count: int) -> list[LoopyMultigraph]:
     return out
 
 
+def _forced(g: LoopyMultigraph) -> tuple | None:
+    """(t, None) for the safe capture t of ``g``, (e, f) for its decline,
+    else None."""
+    t, f = _Searcher._verdict(g)[:2]
+    return None if t is None else (t, f)
+
+
 def test_safe_captures_keep_the_blind_value():
     """Positions where the rule fires solve to the blind oracle's value,
     with and without the table."""
     for g in _safe_capture_positions(60):
-        forced = _Searcher._forced(g)
+        forced = _forced(g)
         assert forced is not None and forced[1] is None, g.signature()
         expect = support.brute_value(g)
         gv = solve(g)
@@ -453,7 +480,7 @@ def test_capture_next_to_a_coin_with_two_strings_is_not_safe():
     # coin 3 hangs on coin 4, which holds its string and a loop: taking
     # coin 3 first loses by one, while the position wins by one
     g = LoopyMultigraph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (4, 4)])
-    assert _Searcher._forced(g) == ((3, 4, 1), (4, 4, 1))
+    assert _forced(g) == ((3, 4, 1), (4, 4, 1))
     captured, succ = g._child(3, 4)
     assert captured + solve(succ).differential == -1
     for opts in (SolveOptions(), SolveOptions(pruning=False)):
@@ -471,10 +498,10 @@ def test_no_keyed_position_holds_a_safe_capture(monkeypatch):
 
     monkeypatch.setattr(canonical, "_key_graph", spy)
     solve(make("balloon_path", 8))
-    assert keyed and not any(f is not None and f[1] is None for f in map(_Searcher._forced, keyed))
+    assert keyed and not any(f is not None and f[1] is None for f in map(_forced, keyed))
     keyed.clear()
     solve(make("balloon_path", 8), SolveOptions(pruning=False))
-    assert any(f is not None and f[1] is None for f in map(_Searcher._forced, keyed))
+    assert any(f is not None and f[1] is None for f in map(_forced, keyed))
 
 
 def test_forced_captures_are_counted_only_with_pruning():
@@ -506,7 +533,7 @@ def _decline_positions(count: int) -> list[LoopyMultigraph]:
         else:
             gadget, f = [(v, v + 1), (v + 1, w), (v + 2, v + 3), (v + 3, v + 4), (v + 2, v + 4), (v + 4, v + 4)], (w, v + 1, 1)
         g = LoopyMultigraph.from_edges(edges + gadget)
-        if _Searcher._forced(g) == ((v, v + 1, 1), f):
+        if _forced(g) == ((v, v + 1, 1), f):
             out.append(g)
     return out
 
@@ -532,7 +559,7 @@ def test_classes_the_rule_leaves_out_are_two_below_the_capture():
     checked = 0
     while checked < 150:
         g = support.random_graph(rng, max_vertices=6, max_edges=8)
-        forced = _Searcher._forced(g)
+        forced = _forced(g)
         if forced is None or forced[1] is None:
             continue
         e, f = forced
@@ -541,7 +568,7 @@ def test_classes_the_rule_leaves_out_are_two_below_the_capture():
             captured, succ = g._child(t[0], t[1])
             return captured + support.brute_value(succ) if captured else -support.brute_value(succ)
 
-        kept = searcher._undominated(g, g.signature(), f)
+        kept = searcher._tried(g, g.signature(), *_Searcher._verdict(g)[1:])
         assert e in kept and f in kept
         for t in g.signature():
             if t not in kept:
@@ -572,8 +599,11 @@ def test_dominated_skips_are_counted_apart_from_symmetric_skips():
 
 
 def _left_out(g: LoopyMultigraph) -> set:
-    """The classes of ``g`` that a hard-hearted handout leaves out."""
-    return _Searcher._dominated(g, g.signature())[0]
+    """The classes of ``g`` that a hard-hearted handout leaves out: what
+    the filter leaves out of its signature, less the chain rule's links."""
+    sig = g.signature()
+    tried = _Searcher(SolveOptions(), None)._tried(g, sig, *_Searcher._verdict(g)[1:])
+    return set(sig) - set(tried) - _chain_left_out(g)
 
 
 def _no_single_strings(rng: random.Random, edges: list) -> list:
@@ -631,7 +661,7 @@ def _handout_positions(count: int) -> list[tuple[str, LoopyMultigraph, list]]:
             gadget += [(v + 3, v + 4), (v + 4, v + 5), (v + 3, v + 5), (v + 5, v + 5)]
         g = LoopyMultigraph.from_edges(edges + gadget)
         if g.edge_count <= 12:
-            assert _Searcher._forced(g) is None, g.signature()
+            assert _forced(g) is None, g.signature()
             out.append((kind, g, [(min(e), max(e)) for e in gadget]))
     return out
 
@@ -698,10 +728,10 @@ def test_handout_skips_count_as_dominated_skips():
     # balloon_path(3) holds no coin on a single string, so at its root only
     # the handout rule fires: it leaves out the loops at both ends
     g = make("balloon_path", 3)
-    assert _Searcher._forced(g) is None and _left_out(g) == {(0, 0, 1), (2, 2, 1)}
-    assert not _Searcher._dominated(g, g.signature())[1]
+    assert _forced(g) is None and _left_out(g) == {(0, 0, 1), (2, 2, 1)}
+    assert not _chain_left_out(g)
     searcher = _Searcher(SolveOptions(), None)
-    searcher._unforced(g, g.signature())
+    searcher._tried(g, g.signature(), *_Searcher._verdict(g)[1:])
     assert searcher.stats.dominated_skips == 2
     assert solve(g).stats.dominated_skips > 0
     assert solve(g, SolveOptions(memo=False)).stats.dominated_skips > 0
@@ -735,7 +765,7 @@ def _chains(g: LoopyMultigraph) -> list[list]:
 
 def _chain_left_out(g: LoopyMultigraph) -> set:
     """The classes of ``g`` that the chain rule leaves out."""
-    return set(_Searcher._dominated(g, g.signature())[1])
+    return _Searcher._chain_skips(_Searcher._verdict(g)[2], g.signature())
 
 
 _CHAIN_KINDS = ["ground_ground", "joint_joint", "joint_ground", "own_joint", "two_coin", "cycle", "two_components"]
@@ -782,7 +812,7 @@ def _chain_positions(count: int) -> list[tuple[str, LoopyMultigraph, list, int]]
             skips = 2
         g = LoopyMultigraph.from_edges(edges + gadget)
         if g.edge_count <= 12:
-            assert _Searcher._forced(g) is None, g.signature()
+            assert _forced(g) is None, g.signature()
             out.append((kind, g, [(min(e), max(e), 1) for e in gadget], skips))
     return out
 
@@ -810,7 +840,7 @@ def test_links_a_chain_leaves_out_are_worth_its_kept_link():
     for kind, g, _, skips in _chain_positions(42):
         if not skips:
             continue
-        handouts, chains = _Searcher._dominated(g, g.signature())
+        handouts, chains = _left_out(g), _chain_left_out(g)
         worth = {}
         for t in g.signature():
             captured, succ = g._child(t[0], t[1])
@@ -846,31 +876,38 @@ _AUDIT_FAMILIES = [("prism", 6), ("wheel", 9), ("balloon_path", 9), ("ferris_whe
 
 def test_pruning_rules_keep_their_margins_on_real_search_trees(monkeypatch):
     """At nodes that cold solves of four families reach, every class is
-    valued by searches that apply none of the rules.  Each class the
-    decline, handout or chain rule leaves out keeps that rule's margin:
-    at least 2 below the capture, at most a kept string beside it, exactly
-    the link kept on its chain; and the best class tried is worth the best
-    class of all.  The nodes are sampled evenly from each rule's firings."""
-    fired = {"decline": [], "handout": [], "chain": []}
-    undominated, unforced = _Searcher._undominated, _Searcher._unforced
+    valued by searches that apply none of the rules.  A safe capture is
+    worth the best class of all, and each class the decline, handout or
+    chain rule leaves out keeps that rule's margin: at least 2 below the
+    capture, at most a kept string beside it, exactly the link kept on
+    its chain; and the best class tried is worth the best class of all.
+    The nodes are sampled evenly from each rule's firings."""
+    fired = {"capture": [], "decline": [], "handout": [], "chain": []}
+    verdict_of, tried_of = _Searcher._verdict, _Searcher._tried
 
-    def spy_decline(self, g, moves, f):
-        tried = undominated(self, g, moves, f)
-        if set(moves) - set(tried):
-            fired["decline"].append((g, moves, set(moves) - set(tried), tried))
-        return tried
+    def spy_verdict(g):
+        verdict = verdict_of(g)
+        t = verdict[0]
+        if t is not None and verdict[1] is None:
+            fired["capture"].append((g, g.signature(), set(g.signature()) - {t}, [t]))
+        return verdict
 
-    def spy_unforced(self, g, moves):
-        handouts, chains = _Searcher._dominated(g, moves)
-        tried = unforced(self, g, moves)
-        if handouts & set(moves):
-            fired["handout"].append((g, moves, handouts & set(moves), tried))
+    def spy_tried(self, g, moves, f, links):
+        tried = tried_of(self, g, moves, f, links)
+        left_out = set(moves) - set(tried)
+        if f is not None:
+            if left_out:
+                fired["decline"].append((g, moves, left_out, tried))
+            return tried
+        chains = _Searcher._chain_skips(links, moves)
+        if left_out - chains:
+            fired["handout"].append((g, moves, left_out - chains, tried))
         if chains:
             fired["chain"].append((g, moves, chains, tried))
         return tried
 
-    monkeypatch.setattr(_Searcher, "_undominated", spy_decline)
-    monkeypatch.setattr(_Searcher, "_unforced", spy_unforced)
+    monkeypatch.setattr(_Searcher, "_verdict", staticmethod(spy_verdict))
+    monkeypatch.setattr(_Searcher, "_tried", spy_tried)
     for family, param in _AUDIT_FAMILIES:
         solve(make(family, param))
     monkeypatch.undo()
@@ -888,14 +925,14 @@ def test_pruning_rules_keep_their_margins_on_real_search_trees(monkeypatch):
                 worth[t] = captured + v if captured else -v
             assert max(worth[t] for t in tried) == max(worth.values()), (rule, sig)
             if rule == "decline":
-                e = _Searcher._forced(g)[0]
+                e = _forced(g)[0]
                 for t in left_out:
                     assert worth[t] <= worth[e] - 2, (sig, e, t)
             elif rule == "handout":
                 for t in left_out:
                     others = [s for v in t[:2] if g.incident_count(v) == 2 for s in sig if s != t and v in s[:2]]
                     assert any(worth[t] <= worth[s] for s in others), (sig, t)
-            else:
+            elif rule == "chain":
                 on_chains = 0
                 for links in _chains(g):
                     offered = [t for t in moves if t in links]
